@@ -9,6 +9,7 @@ from .mtcsc_a import AdaptiveCleaner, AdaptiveSpeed, mtcsc_a
 from .mtcsc_c import ClusterCleaner, build_cluster, mtcsc_c
 from .mtcsc_g import fix_list, mtcsc_g
 from .mtcsc_l import LocalCleaner, mtcsc_l
+from .online import OnlineCleaner
 from .speed import (
     SpeedConstraint,
     distance,
@@ -20,11 +21,20 @@ from .speed import (
 )
 from .uni import mtcsc_uni
 
+#: The online cleaners by method-registry name (what streaming can run).
+ONLINE_CLEANERS: dict[str, type[OnlineCleaner]] = {
+    "MTCSC-L": LocalCleaner,
+    "MTCSC-C": ClusterCleaner,
+    "MTCSC-A": AdaptiveCleaner,
+}
+
 __all__ = [
     "AdaptiveCleaner",
     "AdaptiveSpeed",
     "ClusterCleaner",
     "LocalCleaner",
+    "ONLINE_CLEANERS",
+    "OnlineCleaner",
     "SpeedConstraint",
     "build_cluster",
     "distance",

@@ -18,6 +18,7 @@ from collections import deque
 import numpy as np
 
 from .mtcsc_c import ClusterCleaner
+from .online import run
 from .speed import SpeedConstraint, distance
 
 
@@ -91,7 +92,11 @@ class AdaptiveSpeed:
 
 
 class AdaptiveCleaner(ClusterCleaner):
-    """MTCSC-C with Algorithm 5 spliced in before each key-point decision."""
+    """MTCSC-C with Algorithm 5 run before each key-point decision."""
+
+    # MTCSC-A resets a carried anchor after one window of staleness; see
+    # ClusterCleaner.RESETS_STALE_ANCHOR.
+    RESETS_STALE_ANCHOR = True
 
     def __init__(
         self,
@@ -101,39 +106,28 @@ class AdaptiveCleaner(ClusterCleaner):
         tau: float = 0.75,
         m: int = 150,
         beta: float = 0.75,
-        reset_after: float | None = -1.0,
     ):
-        # MTCSC-A exists precisely because the constraint can be mis-set,
-        # so the stale-anchor reset defaults ON (one window) — without it
-        # a transport-mode change can strand the anchor before the KL
-        # monitor has updated s (see ClusterCleaner.reset_after).  Pass
-        # reset_after=None to disable.
-        if reset_after is not None and reset_after < 0:
-            reset_after = s.window
-        super().__init__(s, reset_after=reset_after)
+        super().__init__(s)
         self._adaptive = AdaptiveSpeed(s.smax, b=b, tau=tau, m=m, beta=beta)
         self._last_raw_t: float | None = None
         self._last_raw_x: np.ndarray | None = None
 
-    def _pre_step(self, tk: float, xk: np.ndarray) -> None:
+    def decide(self, ts, xs, hi):
         # "AdaptiveSpeed(x_{k-1}, x_k, ...)": the monitored speed is the
         # one between consecutive *observations*.  Using the previous
         # repaired point instead would poison the distribution whenever a
         # too-small constraint makes repairs lag the data (carry-forward
         # during a transport-mode change), inflating s far past the new
         # mode's real bound.
-        try:
-            if self._last_raw_t is not None:
-                dt = tk - self._last_raw_t
-                if dt > 0:
-                    s_new = self._adaptive.observe(
-                        distance(xk, self._last_raw_x) / dt
-                    )
-                    if s_new != self.s.smax:
-                        self.s = SpeedConstraint(s_new, self.s.window)
-        finally:
-            self._last_raw_t = tk
-            self._last_raw_x = np.asarray(xk, float)
+        tk, xk = ts[0], xs[0]
+        if self._last_raw_t is not None and tk > self._last_raw_t:
+            s_new = self._adaptive.observe(
+                distance(xk, self._last_raw_x) / (tk - self._last_raw_t)
+            )
+            if s_new != self.s.smax:
+                self.s = SpeedConstraint(s_new, self.s.window)
+        self._last_raw_t, self._last_raw_x = tk, xk
+        return super().decide(ts, xs, hi)
 
     @property
     def n_speed_updates(self) -> int:
@@ -153,20 +147,6 @@ def mtcsc_a(
     tau: float = 0.75,
     m: int = 150,
     beta: float = 0.75,
-    reset_after: float | None = -1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch wrapper over :class:`AdaptiveCleaner`.
-
-    Returns ``(X_repaired, changed_mask)``.
-    """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    cleaner = AdaptiveCleaner(s, b=b, tau=tau, m=m, beta=beta, reset_after=reset_after)
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    """Batch MTCSC-A.  Returns ``(X_repaired, changed_mask)``."""
+    return run(AdaptiveCleaner(s, b=b, tau=tau, m=m, beta=beta), t, X)

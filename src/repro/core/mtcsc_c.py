@@ -12,16 +12,19 @@ Complexity O(w^2 D n); constant space beyond the window.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .speed import EPS, SpeedConstraint, satisfy, within_speed
+from .online import OnlineCleaner, run
+from .speed import SpeedConstraint, interpolate, satisfy, within_speed
 
 
 def build_cluster(
     tp: float,
     xp: np.ndarray,
-    tw: np.ndarray,
-    Xw: np.ndarray,
+    tw: Sequence[float],
+    Xw: Sequence[np.ndarray],
     s: SpeedConstraint,
 ) -> list[list[int]]:
     """Algorithm 3: cluster the window points (successors of the key point).
@@ -82,130 +85,56 @@ def largest_cluster_head(clusters: list[list[int]]) -> int | None:
     return best[0]
 
 
-class ClusterCleaner:
-    """Incremental MTCSC-C (Algorithm 4) over a buffered stream.
+class ClusterCleaner(OnlineCleaner):
+    """Incremental MTCSC-C (Algorithm 4): the key point's repair anchors on
+    the head of the window's largest cluster."""
 
-    Same emission contract as :class:`repro.core.mtcsc_l.LocalCleaner`:
-    a key point is decided once its lookahead window has fully arrived.
-    The first point of the stream is trusted (Algorithm 4 starts at k=2).
-    """
+    #: Stale-anchor reset: if no window point has been compatible with the
+    #: carried anchor for more than one window, trust the current
+    #: observation again instead of carrying the stale repair forward.  The
+    #: paper's algorithms never re-anchor, which is sound under a correct
+    #: constraint, so MTCSC-C keeps it off.  But a badly mis-set constraint
+    #: (the MTCSC-A adaptation scenario) then diverges permanently once the
+    #: true trajectory outruns ``s * w``: a transport-mode change can strand
+    #: the anchor before the KL monitor has updated ``s``.  MTCSC-A exists
+    #: precisely because the constraint can be mis-set, so it turns the
+    #: reset on, trading the strict soundness guarantee for bounded
+    #: staleness.
+    RESETS_STALE_ANCHOR = False
 
-    def __init__(self, s: SpeedConstraint, *, reset_after: float | None = None):
-        """``reset_after`` (time units, default off): if no window point has
-        been compatible with the carried anchor for that long, trust the
-        current observation again instead of carrying the stale repair
-        forward.  The paper's algorithms never re-anchor — sound under a
-        correct constraint, but a badly mis-set constraint (the MTCSC-A
-        adaptation scenario) then diverges permanently once the true
-        trajectory outruns ``s * w``.  Enabling the reset trades the strict
-        soundness guarantee for bounded staleness; MTCSC-A turns it on.
-        """
-        self.s = s
-        self.reset_after = reset_after
-        self._tbuf: list[float] = []
-        self._xbuf: list[np.ndarray] = []
-        self._prev_t: float | None = None
-        self._prev_x: np.ndarray | None = None
+    def __init__(self, s: SpeedConstraint):
+        super().__init__(s)
         self._last_accept_t: float | None = None
-        self._out: list[tuple[float, np.ndarray, bool]] = []
 
-    # Subclasses (MTCSC-A) can mutate self.s here before the key point
-    # of each step is decided.
-    def _pre_step(self, tk: float, xk: np.ndarray) -> None:
-        return None
-
-    def _emit_first_buffered(self) -> None:
+    def decide(self, ts, xs, hi):
         s = self.s
-        tk = self._tbuf[0]
-        xk = self._xbuf[0]
-        carried = False  # True only for carry-forward (stale-anchor) emits
-        if self._prev_x is None:
-            xr, changed = xk, False
-        else:
-            self._pre_step(tk, xk)
-            s = self.s
-            # Window points after the key point, within t <= tk + w.
-            tw, Xw = [], []
-            for i in range(1, len(self._tbuf)):
-                if self._tbuf[i] > tk + s.window:
-                    break
-                tw.append(self._tbuf[i])
-                Xw.append(self._xbuf[i])
-            tw = np.asarray(tw, float)
-            Xw = np.asarray(Xw, float) if len(Xw) else np.zeros((0, len(xk)))
-            clusters = build_cluster(self._prev_t, self._prev_x, tw, Xw, s)
-            head = largest_cluster_head(clusters)
-            if head is None:
-                # No compatible trend in the window: behave like MTCSC-L's
-                # fallback — keep the point if compatible, else carry the
-                # previous repair forward (or re-anchor if the carried
-                # repair has been stale longer than ``reset_after``).
-                if satisfy(self._prev_t, self._prev_x, tk, xk, s):
-                    xr, changed = xk, False
-                elif (
-                    self.reset_after is not None
-                    and self._last_accept_t is not None
-                    and tk - self._last_accept_t > self.reset_after
-                ):
-                    xr, changed = xk, False
-                else:
-                    xr, changed = self._prev_x.copy(), True
-                    carried = True
-            else:
-                ti, xi = float(tw[head]), Xw[head]
-                ok = satisfy(self._prev_t, self._prev_x, tk, xk, s) and within_speed(
-                    tk, xk, ti, xi, s
-                )
-                if ok:
-                    xr, changed = xk, False
-                else:
-                    alpha = (tk - self._prev_t) / (ti - self._prev_t)
-                    xr = self._prev_x + alpha * (xi - self._prev_x)
-                    changed = True
-        self._out.append((tk, np.asarray(xr, float), changed))
-        self._prev_t, self._prev_x = tk, np.asarray(xr, float)
-        if not carried:
+        tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
+        if self._last_accept_t is None:
+            self._last_accept_t = tp  # the trusted first point
+        # The list slices copy references only, not the window's points.
+        head = largest_cluster_head(build_cluster(tp, xp, ts[1:hi], xs[1:hi], s))
+        if head is not None:
             # Kept observations and cluster-anchored repairs are both
             # evidence-backed; only carry-forward emits leave the anchor
             # stale.
             self._last_accept_t = tk
-        self._tbuf.pop(0)
-        self._xbuf.pop(0)
-
-    def push(self, t: float, x: np.ndarray) -> None:
-        if self._tbuf and t <= self._tbuf[-1]:
-            raise ValueError("timestamps must be strictly increasing")
-        self._tbuf.append(float(t))
-        self._xbuf.append(np.asarray(x, float))
-        while self._tbuf and t > self._tbuf[0] + self.s.window + EPS:
-            self._emit_first_buffered()
-
-    def flush(self) -> None:
-        while self._tbuf:
-            self._emit_first_buffered()
-
-    def drain(self) -> list[tuple[float, np.ndarray, bool]]:
-        out, self._out = self._out, []
-        return out
+            ti, xi = ts[1 + head], xs[1 + head]
+            if satisfy(tp, xp, tk, xk, s) and within_speed(tk, xk, ti, xi, s):
+                return xk, False
+            return interpolate(tp, xp, ti, xi, tk), True
+        # No compatible trend in the window: behave like MTCSC-L's fallback
+        # — keep the point if compatible, else carry the previous repair
+        # forward (or re-anchor on a stale carried repair, see above).
+        if satisfy(tp, xp, tk, xk, s) or (
+            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window
+        ):
+            self._last_accept_t = tk
+            return xk, False
+        return xp.copy(), True
 
 
 def mtcsc_c(
     t: np.ndarray, X: np.ndarray, s: SpeedConstraint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch wrapper over :class:`ClusterCleaner`.
-
-    Returns ``(X_repaired, changed_mask)``.
-    """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(t):
-        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
-    cleaner = ClusterCleaner(s)
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    """Batch MTCSC-C.  Returns ``(X_repaired, changed_mask)``."""
+    return run(ClusterCleaner(s), t, X)

@@ -22,8 +22,9 @@ Two parallelism regimes:
    the warm-up (tests quantify the agreement).
 
 Cleaner kernels are the plain numpy functions from :mod:`repro.core` and
-:mod:`repro.baselines`; they run inside Arrow-backed ``applyInPandas``
-workers untouched.
+:mod:`repro.baselines`; they run untouched inside Arrow-backed
+``applyInPandas`` workers, through one group body (:func:`_kernel`) that
+both regimes share.
 """
 from __future__ import annotations
 
@@ -88,23 +89,21 @@ def to_spark_long(
     return spark.createDataFrame(pdf)
 
 
-def _kernel(clean_fn: CleanFn):
-    """Wrap a numpy cleaner as an applyInPandas kernel over one group."""
+def _kernel(clean_fn: CleanFn, schema: StructType):
+    """Wrap a numpy cleaner as an applyInPandas kernel over one group.
+
+    The output columns are those of ``schema``; any besides ``repaired``
+    and ``changed`` pass through from the sorted input group.
+    """
+    columns = schema.fieldNames()
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("t").reset_index(drop=True)
         t = pdf["t"].to_numpy(float)
         X = np.array(pdf["v"].tolist(), dtype=float)
         Xr, changed = clean_fn(t, X)
-        return pd.DataFrame(
-            {
-                "series_id": pdf["series_id"],
-                "t": t,
-                "v": pdf["v"],
-                "repaired": list(map(list, Xr)),
-                "changed": changed.astype(bool),
-            }
-        )
+        out = {"repaired": list(map(list, Xr)), "changed": changed.astype(bool)}
+        return pd.DataFrame({c: out[c] if c in out else pdf[c] for c in columns})
 
     return run
 
@@ -113,7 +112,7 @@ def clean_per_series(df: DataFrame, clean_fn: CleanFn) -> DataFrame:
     """Clean every series of a long-format frame independently in parallel."""
     ensure_parallel_groups(df.sparkSession)
     return df.select("series_id", "t", "v").groupBy("series_id").applyInPandas(
-        _kernel(clean_fn), schema=CLEAN_SCHEMA
+        _kernel(clean_fn, CLEAN_SCHEMA), schema=CLEAN_SCHEMA
     )
 
 
@@ -158,30 +157,12 @@ def clean_chunked(
     both = own.unionByName(nxt)
 
     schema = StructType(CLEAN_SCHEMA.fields + [StructField("is_warmup", BooleanType())])
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t").reset_index(drop=True)
-        t = pdf["t"].to_numpy(float)
-        X = np.array(pdf["v"].tolist(), dtype=float)
-        Xr, changed = clean_fn(t, X)
-        return pd.DataFrame(
-            {
-                "series_id": pdf["series_id"],
-                "t": t,
-                "v": pdf["v"],
-                "repaired": list(map(list, Xr)),
-                "changed": changed.astype(bool),
-                "is_warmup": pdf["is_warmup"],
-            }
-        )
-
-    out = (
+    return (
         both.groupBy("series_id", "chunk")
-        .applyInPandas(run, schema=schema)
+        .applyInPandas(_kernel(clean_fn, schema), schema=schema)
         .where(~F.col("is_warmup"))
         .drop("is_warmup")
     )
-    return out
 
 
 def attach_truth(cleaned: DataFrame, truth_df: DataFrame) -> DataFrame:

@@ -79,26 +79,6 @@ def within_speed(
     return distance(xi, xj) <= s.smax * dt * (1.0 + EPS) + EPS
 
 
-def satisfy_many(
-    tk: float, xk: np.ndarray, ts: np.ndarray, Xs: np.ndarray, s: SpeedConstraint
-) -> np.ndarray:
-    """Vectorized ``satisfy`` of one point against many points.
-
-    Returns a boolean array, one entry per row of ``Xs``.
-    """
-    ts = np.asarray(ts, float)
-    dt = np.abs(ts - float(tk))
-    d = np.sqrt(np.sum((np.asarray(Xs, float) - np.asarray(xk, float)) ** 2, axis=1))
-    out = np.empty(len(ts), dtype=bool)
-    zero = dt == 0
-    out[zero] = d[zero] == 0.0
-    far = dt > s.window
-    out[far] = True
-    near = ~zero & ~far
-    out[near] = d[near] <= s.smax * dt[near] * (1.0 + EPS) + EPS
-    return out
-
-
 def series_satisfies(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> bool:
     """Check ``x |= s``: every in-window pair satisfies the constraint.
 

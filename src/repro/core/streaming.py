@@ -1,12 +1,13 @@
 """Structured Streaming online cleaning (the paper's streaming setting).
 
 Micro-batches arrive from a file source; ``foreachBatch`` feeds each
-batch, in timestamp order per series, into a persistent incremental
-cleaner (:class:`~repro.core.mtcsc_l.LocalCleaner` or
-:class:`~repro.core.mtcsc_c.ClusterCleaner`).  The cleaners emit a
-repair as soon as a key point's lookahead window has fully arrived —
-exactly the paper's online contract — so the drained stream output
-equals the batch result (asserted in tests).
+batch, in timestamp order per series, into a persistent online cleaner
+picked by method name from :data:`repro.core.ONLINE_CLEANERS`
+(MTCSC-L, MTCSC-C or MTCSC-A).  Every online cleaner shares one core,
+:class:`~repro.core.online.OnlineCleaner`, which emits a repair as soon
+as a key point's lookahead window has fully arrived — exactly the
+paper's online contract — and the batch functions drive the same core,
+so the drained stream output equals the batch result (asserted in tests).
 
 State is held per series in the driver (the cleaner needs only the last
 repaired point plus a ``w``-bounded buffer — constant space, Section 1.3).
@@ -33,8 +34,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from .mtcsc_c import ClusterCleaner
-from .mtcsc_l import LocalCleaner
+from . import ONLINE_CLEANERS
+from .online import OnlineCleaner
 from .speed import SpeedConstraint
 
 INPUT_SCHEMA = StructType(
@@ -49,12 +50,12 @@ INPUT_SCHEMA = StructType(
 class StreamingCleaner:
     """Stateful per-series online cleaner driven by micro-batches."""
 
-    def __init__(self, s: SpeedConstraint, *, variant: str = "local"):
-        if variant not in ("local", "cluster"):
+    def __init__(self, s: SpeedConstraint, *, variant: str = "MTCSC-L"):
+        if variant not in ONLINE_CLEANERS:
             raise ValueError(f"unknown variant {variant!r}")
         self.s = s
-        self._cls = LocalCleaner if variant == "local" else ClusterCleaner
-        self._state: dict[str, LocalCleaner | ClusterCleaner] = {}
+        self._cls = ONLINE_CLEANERS[variant]
+        self._state: dict[str, OnlineCleaner] = {}
         self.results: list[tuple[str, float, list[float]]] = []
 
     def process_batch(self, pdf: pd.DataFrame) -> None:
@@ -122,7 +123,7 @@ def run_file_stream(
     directory: str | Path,
     s: SpeedConstraint,
     *,
-    variant: str = "local",
+    variant: str = "MTCSC-L",
     max_files_per_trigger: int = 1,
     timeout_s: float = 120.0,
 ) -> pd.DataFrame:

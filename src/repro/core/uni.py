@@ -47,16 +47,3 @@ def mtcsc_uni(
         changed |= ch
     return Xr, changed
 
-
-def per_dim_constraints(
-    s: SpeedConstraint, scale: np.ndarray | None = None
-) -> list[SpeedConstraint]:
-    """Helper: derive per-dimension constraints from a multivariate one.
-
-    With no ``scale``, every dimension gets the full budget ``s`` (the
-    univariate methods in the paper are given the per-dimension speed
-    limit directly).
-    """
-    if scale is None:
-        return [s]
-    return [SpeedConstraint(s.smax * float(c), s.window) for c in scale]

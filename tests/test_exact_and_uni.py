@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.core import SpeedConstraint, exact_min_fix, mtcsc_c, mtcsc_uni
-from repro.core.uni import per_dim_constraints
 
 
 class TestExact:
@@ -85,12 +84,3 @@ class TestUni:
         X[5, 0] = 40.0
         Xr, ch = mtcsc_uni(t, X, SpeedConstraint(1.0, 4.0), cleaner=mtcsc_l)
         assert ch[5]
-
-    def test_helper_default(self):
-        s = SpeedConstraint(2.0, 3.0)
-        assert per_dim_constraints(s) == [s]
-
-    def test_helper_scaled(self):
-        s = SpeedConstraint(2.0, 3.0)
-        out = per_dim_constraints(s, np.array([1.0, 0.5]))
-        assert out[0].smax == 2.0 and out[1].smax == 1.0

@@ -80,6 +80,11 @@ class TestAdaptiveSpeed:
 
 
 class TestMtcscA:
+    @pytest.mark.parametrize("n_t, n_x", [(3, 2), (2, 3)])
+    def test_shape_mismatch_raises(self, n_t, n_x):
+        with pytest.raises(ValueError, match="rows but X has"):
+            mtcsc_a(np.arange(float(n_t)), np.zeros((n_x, 1)), SpeedConstraint(1, 1))
+
     def test_matches_c_when_no_update_fires(self):
         # With an unreachable KL threshold the constraint never updates,
         # so MTCSC-A degenerates to MTCSC-C exactly.

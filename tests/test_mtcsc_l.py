@@ -94,7 +94,7 @@ class TestIncremental:
         cleaner.flush()
         rows.extend(cleaner.drain())
         got = np.vstack([r[1] for r in rows])
-        np.testing.assert_allclose(got, want)
+        np.testing.assert_array_equal(got, want)
 
     def test_emission_latency_bounded_by_window(self):
         # A key point must be emitted once data beyond t_k + w arrived.

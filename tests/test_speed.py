@@ -8,7 +8,6 @@ from repro.core.speed import (
     estimate_speed,
     interpolate,
     satisfy,
-    satisfy_many,
     series_satisfies,
     violations,
 )
@@ -84,19 +83,6 @@ class TestSatisfy:
     def test_order_invariance(self):
         a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])
         assert satisfy(0, a, 3, b, self.S) == satisfy(3, b, 0, a, self.S)
-
-    def test_satisfy_many_matches_scalar(self):
-        g = np.random.default_rng(1)
-        xk = g.random(3)
-        ts = np.arange(1.0, 9.0)
-        Xs = g.random((8, 3)) * 4
-        got = satisfy_many(0.0, xk, ts, Xs, self.S)
-        want = [satisfy(0.0, xk, t, x, self.S) for t, x in zip(ts, Xs)]
-        assert list(got) == want
-
-    def test_satisfy_many_empty(self):
-        out = satisfy_many(0.0, np.zeros(2), np.zeros(0), np.zeros((0, 2)), self.S)
-        assert out.shape == (0,)
 
 
 class TestSeriesSatisfies:

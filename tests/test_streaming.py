@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import SpeedConstraint, mtcsc_c, mtcsc_l
+from repro.core import SpeedConstraint, mtcsc_a, mtcsc_c, mtcsc_l
 from repro.core.streaming import (
     StreamingCleaner,
     run_file_stream,
@@ -15,9 +15,14 @@ S = SpeedConstraint(1.6, 45.0)
 
 
 class TestStreamingCleaner:
-    def test_batch_feed_equals_batch_algorithm(self):
+    @pytest.mark.parametrize(
+        "variant, batch_fn",
+        [("MTCSC-L", mtcsc_l), ("MTCSC-C", mtcsc_c), ("MTCSC-A", mtcsc_a)],
+        ids=["MTCSC-L", "MTCSC-C", "MTCSC-A"],
+    )
+    def test_batch_feed_equals_batch_algorithm(self, variant, batch_fn):
         t, dirty, truth, mask = gps_walk(600, seed=5)
-        sc = StreamingCleaner(S, variant="local")
+        sc = StreamingCleaner(S, variant=variant)
         pdf = pd.DataFrame(
             {"series_id": "s0", "t": t, "v": list(map(list, dirty))}
         )
@@ -25,22 +30,20 @@ class TestStreamingCleaner:
         for part in np.array_split(pdf, 7):
             sc.process_batch(part)
         out = sc.finish()
-        want, _ = mtcsc_l(t, dirty, S)
+        want, _ = batch_fn(t, dirty, S)
         got = np.array(out["repaired"].tolist())
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_array_equal(got, want)
 
     def test_cluster_variant(self):
         t, dirty, truth, mask = gps_walk(400, seed=6)
-        sc = StreamingCleaner(S, variant="cluster")
+        sc = StreamingCleaner(S, variant="MTCSC-C")
         pdf = pd.DataFrame(
             {"series_id": "s0", "t": t, "v": list(map(list, dirty))}
         )
         sc.process_batch(pdf)
         out = sc.finish()
         want, _ = mtcsc_c(t, dirty, S)
-        np.testing.assert_allclose(
-            np.array(out["repaired"].tolist()), want, rtol=1e-9
-        )
+        np.testing.assert_array_equal(np.array(out["repaired"].tolist()), want)
 
     def test_two_series_interleaved(self):
         t1, d1, _, _ = gps_walk(200, seed=7)
@@ -50,7 +53,7 @@ class TestStreamingCleaner:
             rows.append(("a", t1[i], list(d1[i])))
             rows.append(("b", t2[i], list(d2[i])))
         pdf = pd.DataFrame(rows, columns=["series_id", "t", "v"])
-        sc = StreamingCleaner(S, variant="local")
+        sc = StreamingCleaner(S, variant="MTCSC-L")
         for part in np.array_split(pdf, 5):
             sc.process_batch(part)
         out = sc.finish()
@@ -59,7 +62,7 @@ class TestStreamingCleaner:
                 out[out.series_id == sid]["repaired"].tolist()
             )
             want, _ = mtcsc_l(t, d, S)
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+            np.testing.assert_array_equal(got, want)
 
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError):
@@ -80,9 +83,9 @@ class TestFileStream:
         t, dirty, truth, mask = gps_walk(500, seed=10)
         write_stream_files(t, dirty, tmp_path / "in", batch_rows=120)
         out = run_file_stream(
-            spark, tmp_path / "in", S, variant="local", max_files_per_trigger=1
+            spark, tmp_path / "in", S, variant="MTCSC-L", max_files_per_trigger=1
         )
         want, _ = mtcsc_l(t, dirty, S)
         got = np.array(out["repaired"].tolist())
         assert len(got) == len(t)
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_array_equal(got, want)
