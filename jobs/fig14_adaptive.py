@@ -6,7 +6,8 @@ ends up best regardless of the initial setting; fixed-constraint methods
 started at walking/running over-repair the faster segments; LsGreedy is
 unaffected by s.
 
-Hyper-parameters from the paper: b=6, tau=0.75, m=150, beta=0.75.
+Hyper-parameters from the paper, which are ``mtcsc_a``'s defaults:
+b=6, tau=0.75, m=150, beta=0.75.
 
 Usage: spark-submit jobs/fig14_adaptive.py [--n 8000]
 """
@@ -24,7 +25,6 @@ from repro.metrics import rmse as rmse_fn
 
 METHODS = ["MTCSC-A", "MTCSC-C", "MTCSC-G", "SCREEN", "LsGreedy", "EWMA", "RCSWS"]
 INITIAL = {"walk(1.6)": 1.6, "run(3.33)": 3.33, "cycle(5.0)": 5.0}
-ADAPTIVE = {"b": 6, "tau": 0.75, "m": 150, "beta": 0.75}
 
 
 def run_fig14(spark, *, n: int = 8_000, window: float = 45.0) -> pd.DataFrame:
@@ -32,9 +32,7 @@ def run_fig14(spark, *, n: int = 8_000, window: float = 45.0) -> pd.DataFrame:
     frames = []
     for label, s0 in INITIAL.items():
         s = SpeedConstraint(s0, window)
-        out = sweep_embedded(
-            spark, t, dirty, truth, s, methods=METHODS, adaptive=ADAPTIVE
-        )
+        out = sweep_embedded(spark, t, dirty, truth, s, methods=METHODS)
         out = out[["method", "rmse", "repair_number"]].copy()
         out.insert(0, "initial_speed", label)
         frames.append(out)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.speed import as_series
+
 
 def _lagged_matrix(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix of ``order`` lags (all dimensions) and the targets."""
@@ -45,7 +47,7 @@ def tranad_proxy(
     The first ``order`` points (no history) are kept as observed.
     Returns ``(X_repaired, changed_mask)``.
     """
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     if n <= order + 1:
         return X.copy(), np.zeros(n, dtype=bool)
@@ -67,7 +69,7 @@ def caem_proxy(
     reconstructed; overlapping reconstructions are averaged per point.
     Returns ``(X_repaired, changed_mask)``.
     """
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     if n < window + 1:
         return X.copy(), np.zeros(n, dtype=bool)

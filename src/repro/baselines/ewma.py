@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.speed import as_series
+
 
 def ewma(
     t: np.ndarray, X: np.ndarray, *, lam: float = 0.25
@@ -20,7 +22,7 @@ def ewma(
     """
     if not 0 < lam <= 1:
         raise ValueError(f"lam must be in (0, 1], got {lam}")
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     Xr = np.empty_like(X)
     Xr[0] = X[0]
     for k in range(1, len(X)):

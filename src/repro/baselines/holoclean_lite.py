@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import SpeedConstraint
+from repro.core.speed import SpeedConstraint, as_series
 
 
 def holoclean_lite(
@@ -39,8 +39,7 @@ def holoclean_lite(
 
     Returns ``(X_repaired, changed_mask)``.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     Xr = X.copy()
     for d in range(D):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.speed import as_series, interpolate
+
 
 def _residual(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Deviation of each interior point from its neighbour interpolation."""
@@ -43,8 +45,7 @@ def htd(
     dimension.  Without labels a very conservative quantile of the dirty
     residuals is used.  Returns ``(X_repaired, changed_mask)``.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     Xr = X.copy()
     for d in range(D):
@@ -63,8 +64,7 @@ def htd(
             m = i + 1
             while m in bad and m < n - 1:
                 m += 1
-            if p >= 0 and m <= n - 1 and t[m] > t[p]:
-                alpha = (t[i] - t[p]) / (t[m] - t[p])
-                Xr[i, d] = X[p, d] + alpha * (X[m, d] - X[p, d])
+            if p >= 0 and m <= n - 1:
+                Xr[i, d] = interpolate(t[p], X[p, d], t[m], X[m, d], t[i])
     changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
     return Xr, changed

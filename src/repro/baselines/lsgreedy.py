@@ -18,6 +18,8 @@ import heapq
 
 import numpy as np
 
+from repro.core.speed import as_series
+
 
 def _speed_changes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u_k = v(k, k+1) - v(k-1, k); defined for 1 <= k <= n-2."""
@@ -84,8 +86,7 @@ def lsgreedy(
 
     Returns ``(X_repaired, changed_mask)``.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n = len(t)
     if max_iter is None:
         max_iter = 5 * n

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.speed import as_series
+
 
 def rcsws(
     t: np.ndarray,
@@ -27,8 +29,7 @@ def rcsws(
     Returns ``(X_repaired, changed_mask)``.  Raises for D != 2, as the
     original method is defined on GPS (lat, lon) data only.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     if D != 2:
         raise ValueError(f"RCSWS is defined for 2-D GPS data, got D={D}")

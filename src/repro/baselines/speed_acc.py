@@ -1,10 +1,11 @@
 """SpeedAcc (Song et al., TODS 2021) — univariate online cleaning under
 joint speed *and* acceleration constraints, minimum-change principle.
 
-Extends SCREEN: the feasible interval for the repair combines the speed
-bounds from the previous repaired point with the acceleration bounds
-from the previous two repaired points
-(``v_k in [v_{k-1} + amin*dt, v_{k-1} + amax*dt]``).  The candidate
+SCREEN plus symmetric acceleration bounds, run by SCREEN's own loop
+(:func:`repro.baselines.screen._screen_1d`): the feasible interval for
+the repair combines the speed bounds from the previous repaired point
+with the acceleration bounds from the previous two repaired points
+(``v_k in [v_{k-1} - amax*dt, v_{k-1} + amax*dt]``).  The candidate
 median from the window is clamped into the intersection; when the
 intersection is empty the speed bounds win (speed is the primary
 constraint in the paper's experiments).
@@ -13,46 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import SpeedConstraint
+from repro.core.speed import SpeedConstraint, as_series
 
-
-def _speed_acc_1d(
-    t: np.ndarray,
-    x: np.ndarray,
-    smin: float,
-    smax: float,
-    amin: float,
-    amax: float,
-    w: float,
-) -> np.ndarray:
-    n = len(t)
-    xr = x.copy()
-    for k in range(1, n):
-        dt_prev = t[k] - t[k - 1]
-        lo = xr[k - 1] + smin * dt_prev
-        hi = xr[k - 1] + smax * dt_prev
-        if dt_prev > w:
-            lo, hi = -np.inf, np.inf
-        if k >= 2:
-            dt_pp = t[k - 1] - t[k - 2]
-            if dt_pp > 0 and dt_prev <= w:
-                v_prev = (xr[k - 1] - xr[k - 2]) / dt_pp
-                alo = xr[k - 1] + (v_prev + amin * dt_prev) * dt_prev
-                ahi = xr[k - 1] + (v_prev + amax * dt_prev) * dt_prev
-                # Intersect; fall back to speed bounds if empty.
-                nlo, nhi = max(lo, alo), min(hi, ahi)
-                if nlo <= nhi:
-                    lo, hi = nlo, nhi
-        cands = [x[k]]
-        i = k + 1
-        while i < n and t[i] <= t[k] + w:
-            dt = t[i] - t[k]
-            cands.append(x[i] - smax * dt)
-            cands.append(x[i] - smin * dt)
-            i += 1
-        mid = float(np.median(cands))
-        xr[k] = min(max(mid, lo), hi)
-    return xr
+from .screen import _screen_1d
 
 
 def speed_acc(
@@ -67,15 +31,12 @@ def speed_acc(
 
     Returns ``(X_repaired, changed_mask)``.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     if amax is None:
         dt_med = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
-        amax = 2.0 * s.smax / max(dt_med, 1e-12)
+        amax = 2.0 * s.smax / dt_med
     Xr = np.empty_like(X)
     for d in range(X.shape[1]):
-        Xr[:, d] = _speed_acc_1d(
-            t, X[:, d], -s.smax, s.smax, -amax, amax, s.window
-        )
+        Xr[:, d] = _screen_1d(t, X[:, d], s.smax, s.window, amax)
     changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
     return Xr, changed

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .speed import SpeedConstraint, satisfy
+from .speed import SpeedConstraint, as_series, satisfy
 
 
 def exact_min_fix(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> int:
@@ -28,8 +28,7 @@ def exact_min_fix(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> int:
 
     Equivalently ``n -`` (size of the largest keepable subset).
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n = len(t)
     if n > 20:
         raise ValueError("exhaustive search is exponential; use n <= 20")

@@ -120,7 +120,7 @@ class AdaptiveCleaner(ClusterCleaner):
         # during a transport-mode change), inflating s far past the new
         # mode's real bound.
         tk, xk = ts[0], xs[0]
-        if self._last_raw_t is not None and tk > self._last_raw_t:
+        if self._last_raw_t is not None:
             s_new = self._adaptive.observe(
                 distance(xk, self._last_raw_x) / (tk - self._last_raw_t)
             )

@@ -13,18 +13,20 @@ inequality (Prop. 3.1 / 3.4).
 Complexity: the paper states O(Dn^2).  We keep an exact O(Dnw') variant
 (`w'` = points per window) by splitting the DP transition:
 
-  dp[i] = 1 + max( best dp[j] over t_j < t_i - w   (unconstrained pairs),
+  dp[i] = 1 + max( best dp[j] over t_i - t_j > w   (unconstrained pairs),
                    best dp[j] over in-window j with satisfy(x_j, x_i) )
 
 The first term is a running prefix maximum; only in-window predecessors
-are checked explicitly (vectorized).  Results are identical to the naive
-O(n^2) DP (asserted in tests).
+are checked explicitly (vectorized).  The split tests the same float
+expressions as :func:`satisfy` and breaks ties towards the earliest
+predecessor, so the kept chain is identical to the naive O(n^2) DP's
+(asserted in tests).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .speed import EPS, SpeedConstraint, satisfy
+from .speed import SpeedConstraint, as_series, interpolate, satisfy, within_bound
 
 
 def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
@@ -33,15 +35,15 @@ def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     dp = np.ones(n, dtype=np.int64)
     pre = np.full(n, -1, dtype=np.int64)
 
-    # Prefix max of dp over points strictly older than t_i - w.
+    # Prefix max of dp over points more than w older than t_i.
     best_old = 0  # dp value
     best_old_idx = -1
     old_ptr = 0  # first index not yet folded into the prefix max
 
     for i in range(n):
-        # Fold every j with t_j < t_i - w into the prefix maximum.
-        limit = t[i] - s.window
-        while old_ptr < i and t[old_ptr] < limit - EPS:
+        # Fold every j that satisfy() exempts (t_i - t_j > w) into the
+        # prefix maximum.
+        while old_ptr < i and t[i] - t[old_ptr] > s.window:
             if dp[old_ptr] > best_old:
                 best_old = dp[old_ptr]
                 best_old_idx = old_ptr
@@ -54,7 +56,7 @@ def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
         if lo < i:
             dt = t[i] - t[lo:i]
             d = np.sqrt(np.sum((X[lo:i] - X[i]) ** 2, axis=1))
-            ok = (dt > 0) & (d <= s.smax * dt * (1.0 + EPS) + EPS)
+            ok = within_bound(d, dt, s.smax)
             if ok.any():
                 js = np.nonzero(ok)[0] + lo
                 j = js[np.argmax(dp[js])]
@@ -108,8 +110,7 @@ def _repair_fixlist(
         p = keep[pos - 1] if pos > 0 else -1
         m = keep[pos] if pos < len(keep) else -1
         if p >= 0 and m >= 0:
-            alpha = (t[i] - t[p]) / (t[m] - t[p])
-            Xr[i] = X[p] + alpha * (X[m] - X[p])
+            Xr[i] = interpolate(t[p], X[p], t[m], X[m], t[i])
         elif p >= 0:
             Xr[i] = X[p]
         else:
@@ -127,10 +128,7 @@ def mtcsc_g(
     Returns ``(X_repaired, changed_mask)``.  ``naive=True`` runs the
     literal O(n^2) DP from the paper (for validation).
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(t):
-        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
+    t, X = as_series(t, X)
     if len(t) == 0:
         return X.copy(), np.zeros(0, dtype=bool)
     keep = (_chain_dp_naive if naive else _chain_dp)(t, X, s)
@@ -139,8 +137,7 @@ def mtcsc_g(
 
 def fix_list(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Indices Algorithm 1 marks for repair (the complement of the chain)."""
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     keep = _chain_dp(t, X, s)
     mask = np.ones(len(t), dtype=bool)
     mask[keep] = False

@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .speed import EPS, SpeedConstraint
+from .speed import EPS, SpeedConstraint, as_series
 
 
 class OnlineCleaner:
@@ -83,10 +83,7 @@ def run(
 
     Returns ``(X_repaired, changed_mask)``.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(t):
-        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
+    t, X = as_series(t, X)
     for i in range(len(t)):
         cleaner.push(t[i], X[i])
     cleaner.flush()

@@ -43,6 +43,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from .speed import as_series
+
 CleanFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 CLEAN_SCHEMA = StructType(
@@ -76,16 +78,16 @@ def to_spark_long(
     truth: np.ndarray | None = None,
 ) -> DataFrame:
     """Pack one numpy series into the long-format Spark frame."""
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     pdf = pd.DataFrame(
         {
             "series_id": series_id,
-            "t": np.asarray(t, float),
+            "t": t,
             "v": list(map(list, X)),
         }
     )
     if truth is not None:
-        pdf["truth"] = list(map(list, np.atleast_2d(np.asarray(truth, float))))
+        pdf["truth"] = list(map(list, as_series(t, truth)[1]))
     return spark.createDataFrame(pdf)
 
 

@@ -8,7 +8,8 @@ unconstrained.  ``s_min = 0`` throughout (Section 2.1).
 
 All kernels operate on plain numpy arrays ``t`` (shape ``(n,)``, strictly
 increasing) and ``X`` (shape ``(n, D)``) so they are testable without
-Spark and directly usable inside ``applyInPandas`` workers.
+Spark and directly usable inside ``applyInPandas`` workers; every kernel
+takes its input through :func:`as_series`, the one input contract.
 """
 from __future__ import annotations
 
@@ -45,21 +46,34 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
 
 
-def satisfy(
-    ti: float, xi: np.ndarray, tj: float, xj: np.ndarray, s: SpeedConstraint
-) -> bool:
-    """``satisfy(x_i, x_j)`` from Table 1: the pair is compatible w.r.t. ``s``.
+def as_series(t, X) -> tuple[np.ndarray, np.ndarray]:
+    """The input contract of every cleaner: return ``(t, X)`` as float arrays.
 
-    Pairs with time gap larger than the window are unconstrained and
-    therefore compatible.  ``ti``/``tj`` may come in either order.
+    ``X`` is promoted to 2-D (one column per dimension).  Raises
+    ``ValueError`` unless ``t`` is 1-D, ``t`` and ``X`` have the same
+    number of rows, every value is finite and ``t`` is strictly
+    increasing.
     """
-    dt = abs(float(tj) - float(ti))
-    if dt == 0:
-        # Same timestamp: compatible only if identical (distance 0).
-        return distance(xi, xj) == 0.0
-    if dt > s.window:
-        return True
-    return distance(xi, xj) <= s.smax * dt * (1.0 + EPS) + EPS
+    t = np.asarray(t, float)
+    X = np.atleast_2d(np.asarray(X, float))
+    if t.ndim != 1:
+        raise ValueError(f"t must be 1-D, got shape {t.shape}")
+    if X.shape[0] != len(t):
+        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
+    if not (np.isfinite(t).all() and np.isfinite(X).all()):
+        raise ValueError("t and X must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("timestamps must be strictly increasing")
+    return t, X
+
+
+def within_bound(d, dt, smax: float):
+    """``d <= smax * dt`` up to the :data:`EPS` tolerance.
+
+    Works on scalars and, elementwise, on arrays of distances ``d`` and
+    time gaps ``dt``.
+    """
+    return d <= smax * dt * (1.0 + EPS) + EPS
 
 
 def within_speed(
@@ -71,38 +85,31 @@ def within_speed(
     argument needs the anchor to genuinely lie within the speed cone of
     the previous repaired point, so a pair that is merely "outside the
     window" (and thus unconstrained for violation detection) must not be
-    accepted here.
+    accepted here.  At equal timestamps only (near-)identical points pass.
     """
-    dt = abs(float(tj) - float(ti))
-    if dt == 0:
-        return distance(xi, xj) == 0.0
-    return distance(xi, xj) <= s.smax * dt * (1.0 + EPS) + EPS
+    return within_bound(distance(xi, xj), abs(float(tj) - float(ti)), s.smax)
 
 
-def series_satisfies(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> bool:
-    """Check ``x |= s``: every in-window pair satisfies the constraint.
+def satisfy(
+    ti: float, xi: np.ndarray, tj: float, xj: np.ndarray, s: SpeedConstraint
+) -> bool:
+    """``satisfy(x_i, x_j)`` from Table 1: the pair is compatible w.r.t. ``s``.
+
+    Pairs with time gap larger than the window are unconstrained and
+    therefore compatible; all others must pass :func:`within_speed`.
+    ``ti``/``tj`` may come in either order.
+    """
+    return abs(float(tj) - float(ti)) > s.window or within_speed(ti, xi, tj, xj, s)
+
+
+def violations(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> list[tuple[int, int]]:
+    """All in-window pairs ``(i, j)`` violating the constraint (for tests).
 
     By the triangle-inequality argument of Prop. 3.1 it is *not* enough to
     check consecutive pairs of the raw series (a pair may violate even when
     all consecutive pairs hold), so this checks all pairs within ``w``.
-    Used by tests to assert soundness of repairs.
     """
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
-    n = len(t)
-    for i in range(n):
-        # Only pairs within the window need checking.
-        hi = np.searchsorted(t, t[i] + s.window, side="right")
-        for j in range(i + 1, hi):
-            if not satisfy(t[i], X[i], t[j], X[j], s):
-                return False
-    return True
-
-
-def violations(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> list[tuple[int, int]]:
-    """All in-window pairs ``(i, j)`` violating the constraint (for tests)."""
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
+    t, X = as_series(t, X)
     out: list[tuple[int, int]] = []
     for i in range(len(t)):
         hi = np.searchsorted(t, t[i] + s.window, side="right")
@@ -110,6 +117,14 @@ def violations(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> list[tuple[i
             if not satisfy(t[i], X[i], t[j], X[j], s):
                 out.append((i, j))
     return out
+
+
+def series_satisfies(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> bool:
+    """Check ``x |= s``: no in-window pair violates the constraint.
+
+    Used by tests to assert soundness of repairs.
+    """
+    return not violations(t, X, s)
 
 
 def interpolate(
@@ -133,11 +148,8 @@ def estimate_speed(
     Mirrors the paper's "extraction from the data by the 95% confidence
     level" (Section 4) for experiments where the true bound is unknown.
     """
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
-    d = np.sqrt(np.sum(np.diff(X, axis=0) ** 2, axis=1))
-    dt = np.diff(t)
-    sp = d[dt > 0] / dt[dt > 0]
+    t, X = as_series(t, X)
+    sp = np.sqrt(np.sum(np.diff(X, axis=0) ** 2, axis=1)) / np.diff(t)
     if len(sp) == 0:
         raise ValueError("need at least two points to estimate a speed")
     return float(np.quantile(sp, quantile)) * scale

@@ -36,7 +36,7 @@ from pyspark.sql.types import (
 
 from . import ONLINE_CLEANERS
 from .online import OnlineCleaner
-from .speed import SpeedConstraint
+from .speed import SpeedConstraint, as_series
 
 INPUT_SCHEMA = StructType(
     [
@@ -93,7 +93,7 @@ def write_stream_files(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n = len(t)
     n_files = 0
     for start in range(0, n, batch_rows):

@@ -13,7 +13,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .mtcsc_c import mtcsc_c
-from .speed import SpeedConstraint
+from .speed import SpeedConstraint, as_series
 
 Cleaner = Callable[[np.ndarray, np.ndarray, SpeedConstraint], tuple[np.ndarray, np.ndarray]]
 
@@ -30,8 +30,7 @@ def mtcsc_uni(
     Returns ``(X_repaired, changed_mask)`` where a point counts as changed
     if any of its dimensions was changed.
     """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    t, X = as_series(t, X)
     n, D = X.shape
     if isinstance(s, SpeedConstraint):
         cons = [s] * D

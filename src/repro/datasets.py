@@ -110,11 +110,14 @@ def ecg(
 
 
 def _walk_trajectory(
-    n: int, g: np.random.Generator, speed_max: float
+    n: int, g: np.random.Generator, cap: float | np.ndarray
 ) -> np.ndarray:
-    """2-D trajectory: heading random walk, speed <= speed_max (1 Hz)."""
+    """2-D trajectory: heading random walk, speed <= cap (1 Hz).
+
+    ``cap`` is one speed bound or one per step.
+    """
     heading = np.cumsum(g.normal(0.0, 0.15, n))
-    speed = np.clip(speed_max * (0.6 + 0.3 * g.random(n)), 0.0, speed_max)
+    speed = np.clip(cap * (0.6 + 0.3 * g.random(n)), 0.0, cap)
     vx = speed * np.cos(heading)
     vy = speed * np.sin(heading)
     return np.stack([np.cumsum(vx), np.cumsum(vy)], axis=1)
@@ -195,12 +198,7 @@ def gps_mixed(
             cap[start : start + run] = np.linspace(
                 speeds[k - 1], speeds[k], run
             )
-    heading = np.cumsum(g.normal(0.0, 0.15, n))
-    speed = np.clip(cap * (0.6 + 0.3 * g.random(n)), 0.0, cap)
-    truth = np.stack(
-        [np.cumsum(speed * np.cos(heading)), np.cumsum(speed * np.sin(heading))],
-        axis=1,
-    )
+    truth = _walk_trajectory(n, g, cap)
     dirty, mask = _embed_error_runs(
         truth, g, n_runs=max(3, n // 250), max_run=10, offset_lo=8.0, offset_hi=30.0
     )

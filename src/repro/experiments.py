@@ -25,7 +25,7 @@ from pyspark.sql.types import (
 )
 
 from repro.core.spark_clean import ensure_parallel_groups
-from repro.core.speed import SpeedConstraint
+from repro.core.speed import SpeedConstraint, as_series
 from repro.errors import inject_errors
 from repro.methods import METHODS, Context, SkipMethod
 from repro.metrics import evaluate
@@ -95,7 +95,6 @@ def sweep_injected(
     rates: Sequence[float],
     seeds: Sequence[int],
     pattern: str = "together",
-    adaptive: dict | None = None,
 ) -> pd.DataFrame:
     """Distributed sweep: every (method, rate, seed) cell in parallel.
 
@@ -103,8 +102,7 @@ def sweep_injected(
     its cell's errors, cleans, and emits one metrics row.  Returns the
     collected result table as pandas.
     """
-    t = np.asarray(t, float)
-    truth = np.atleast_2d(np.asarray(truth, float))
+    t, truth = as_series(t, truth)
     ensure_parallel_groups(spark)
     sc = spark.sparkContext
     b_t = sc.broadcast(t)
@@ -118,7 +116,6 @@ def sweep_injected(
     grid_df = spark.createDataFrame(
         pd.DataFrame(grid, columns=["method", "rate", "seed"])
     )
-    extras = {"adaptive": adaptive} if adaptive else {}
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -128,7 +125,7 @@ def sweep_injected(
             tt = b_t.value
             tr = b_truth.value
             dirty, _ = inject_errors(tr, rate, pattern=pattern, seed=int(seed))
-            ctx = Context(s=s, truth=tr, extras=extras)
+            ctx = Context(s=s, truth=tr)
             rows.append(_run_cell(method, tt, dirty, tr, ctx, rate, seed))
         return pd.DataFrame(rows)
 
@@ -148,27 +145,22 @@ def sweep_embedded(
     s: SpeedConstraint,
     *,
     methods: Sequence[str],
-    adaptive: dict | None = None,
 ) -> pd.DataFrame:
     """Distributed run of many methods on one fixed dirty series
     (the Table 4 protocol: embedded, labeled real-style errors)."""
-    t = np.asarray(t, float)
-    dirty = np.atleast_2d(np.asarray(dirty, float))
-    truth = np.atleast_2d(np.asarray(truth, float))
+    t, dirty = as_series(t, dirty)
+    truth = as_series(t, truth)[1]
     ensure_parallel_groups(spark)
     sc = spark.sparkContext
     b = sc.broadcast((t, dirty, truth))
     grid_df = spark.createDataFrame(
         pd.DataFrame({"method": list(methods), "rate": 0.0, "seed": 0})
     )
-    extras = {"adaptive": adaptive} if adaptive else {}
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         tt, dd, tr = b.value
         rows = [
-            _run_cell(
-                method, tt, dd, tr, Context(s=s, truth=tr, extras=extras), 0.0, 0
-            )
+            _run_cell(method, tt, dd, tr, Context(s=s, truth=tr), 0.0, 0)
             for method in pdf["method"]
         ]
         return pd.DataFrame(rows)

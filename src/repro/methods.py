@@ -2,14 +2,14 @@
 
 Each entry maps a paper method name to a callable
 ``fn(t, X, ctx) -> (X_repaired, changed_mask)`` where ``ctx`` carries the
-speed constraint and optional extras (ground truth for HTD's labels,
-dimensionality guards for RCSWS).  Methods that cannot run on a dataset
-(RCSWS on D != 2) raise ``SkipMethod`` and harnesses report them as
-not-applicable, matching the paper's per-dataset method lists.
+speed constraint and, optionally, the ground truth for HTD's labels.
+Methods that cannot run on a dataset (RCSWS on D != 2) raise
+``SkipMethod`` and harnesses report them as not-applicable, matching the
+paper's per-dataset method lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ class Context:
 
     s: SpeedConstraint
     truth: np.ndarray | None = None  # labels for HTD's extra supervision
-    extras: dict = field(default_factory=dict)
 
 
 MethodFn = Callable[[np.ndarray, np.ndarray, Context], tuple[np.ndarray, np.ndarray]]
@@ -55,7 +54,7 @@ METHODS: dict[str, MethodFn] = {
     "MTCSC-G": lambda t, X, ctx: mtcsc_g(t, X, ctx.s),
     "MTCSC-L": lambda t, X, ctx: mtcsc_l(t, X, ctx.s),
     "MTCSC-C": lambda t, X, ctx: mtcsc_c(t, X, ctx.s),
-    "MTCSC-A": lambda t, X, ctx: mtcsc_a(t, X, ctx.s, **ctx.extras.get("adaptive", {})),
+    "MTCSC-A": lambda t, X, ctx: mtcsc_a(t, X, ctx.s),
     "MTCSC-Uni": lambda t, X, ctx: mtcsc_uni(t, X, ctx.s),
     "SCREEN": lambda t, X, ctx: screen(t, X, ctx.s),
     "SpeedAcc": lambda t, X, ctx: speed_acc(t, X, ctx.s),

@@ -118,7 +118,44 @@ class TestSoundness:
         s = SpeedConstraint(1.0, 7.0)
         Xr_f, ch_f = mtcsc_g(t, X, s)
         Xr_n, ch_n = mtcsc_g(t, X, s, naive=True)
-        assert ch_f.sum() == ch_n.sum()  # same minimum fix count
+        np.testing.assert_array_equal(Xr_f, Xr_n)
+        np.testing.assert_array_equal(ch_f, ch_n)
+
+    def test_gap_just_over_window_is_unconstrained(self):
+        # t_1 - t_0 = w + 5e-10 > w: the pair is exempt, and x_1 -> x_2 is
+        # within speed, so nothing needs repair.
+        t = np.array([0.0, 3.0 + 5e-10, 4.0])
+        X = np.array([[0.0], [100.0], [101.0]])
+        s = SpeedConstraint(1.0, 3.0)
+        Xr, ch = mtcsc_g(t, X, s)
+        assert not ch.any()
+        np.testing.assert_array_equal(Xr, X)
+        assert len(fix_list(t, X, s)) == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.sampled_from([0.0, 5e-10, -5e-10, 1e-9]),
+                st.floats(-4, 4),
+            ),
+            min_size=2,
+            max_size=25,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_equals_naive_at_window_boundary(self, points):
+        # Integer steps plus sub-EPS jitter put many pair gaps at exactly
+        # w and in (w, w + 1e-9], where the prefix-max fold must agree with
+        # satisfy()'s window exemption.
+        steps, jitter, values = zip(*points)
+        t = np.cumsum(steps).astype(float) + np.array(jitter)
+        X = np.array(values)[:, None]
+        s = SpeedConstraint(1.0, 3.0)
+        Xr_f, ch_f = mtcsc_g(t, X, s)
+        Xr_n, ch_n = mtcsc_g(t, X, s, naive=True)
+        np.testing.assert_array_equal(Xr_f, Xr_n)
+        np.testing.assert_array_equal(ch_f, ch_n)
 
     def test_irregular_timestamps(self):
         t = np.array([0.0, 1.0, 1.5, 4.0, 10.0])
