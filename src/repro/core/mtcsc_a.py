@@ -66,28 +66,23 @@ class AdaptiveSpeed:
     ):
         self.s = float(s0)
         self.b, self.tau, self.m, self.beta = b, tau, m, beta
-        self.w1: deque[float] = deque()
-        self.w2: deque[float] = deque()
+        # W1 is the older half of the window, W2 the newer half.
+        self.window: deque[float] = deque(maxlen=2 * m)
         self.n_updates = 0  # number of constraint changes (for tests/metrics)
 
     def observe(self, speed: float) -> float:
         """Push one observed speed, return the (possibly updated) constraint."""
-        s1 = float(speed)
-        if len(self.w1) < self.m:
-            self.w1.append(s1)
-        elif len(self.w2) < self.m:
-            self.w2.append(s1)
-        else:
-            c1 = bucketize(np.array(self.w1), self.b, self.s)
-            c2 = bucketize(np.array(self.w2), self.b, self.s)
-            if kl_divergence(c1, c2) > self.tau:
-                self.s = float(np.quantile(np.array(self.w2), 0.95)) / self.beta
+        if len(self.window) == self.window.maxlen:
+            w = np.array(self.window)
+            w1, w2 = w[: self.m], w[self.m :]
+            if kl_divergence(
+                bucketize(w1, self.b, self.s), bucketize(w2, self.b, self.s)
+            ) > self.tau:
+                self.s = float(np.quantile(w2, 0.95)) / self.beta
                 self.n_updates += 1
-            # Slide: oldest of W2 moves into W1, the new speed enters W2.
-            s2 = self.w2.popleft()
-            self.w1.append(s2)
-            self.w1.popleft()
-            self.w2.append(s1)
+        # Once full, appending slides both halves: W1's oldest speed leaves
+        # and W2's oldest moves into W1.
+        self.window.append(float(speed))
         return self.s
 
 

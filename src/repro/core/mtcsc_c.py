@@ -33,44 +33,37 @@ def build_cluster(
     points *after* the key point, in time order.  Returns clusters as
     lists of indices into ``tw`` (order of creation).
 
-    Flags per point: 0 = omitted/dirty, -1 = head of its own cluster,
-    j > 0-style = index of the cluster head it joined.
+    ``head[i]`` is the index of the cluster head point ``i`` belongs to
+    (``i`` itself for a head), or ``None`` for an omitted (dirty) point.
     """
     m = len(tw)
     clusters: dict[int, list[int]] = {}
-    f = np.zeros(m, dtype=np.int64)  # 0 dirty, -1 head, >=1 => head index+1
+    head: list[int | None] = [None] * m
     # Find the first point compatible with the previous repaired point.
-    ell = -1
-    for i in range(m):
-        if within_speed(tp, xp, tw[i], Xw[i], s):
-            ell = i
-            f[i] = -1
-            clusters[i] = [i]
-            break
-    if ell < 0:
+    ell = next((i for i in range(m) if within_speed(tp, xp, tw[i], Xw[i], s)), None)
+    if ell is None:
         return []
+    head[ell] = ell
+    clusters[ell] = [ell]
     for i in range(ell + 1, m):
         for j in range(i - 1, ell - 1, -1):
             if within_speed(tw[j], Xw[j], tw[i], Xw[i], s):
-                if f[j] == -1:
-                    f[i] = j + 1
-                    clusters[j].append(i)
-                elif f[j] >= 1:
-                    f[i] = f[j]
-                    clusters[f[i] - 1].append(i)
-                # f[j] == 0 (omitted): i is compatible with a dirty point
-                # and is itself omitted (stays 0).
+                # Join j's cluster; a point compatible with an omitted
+                # point is itself omitted.
+                if head[j] is not None:
+                    head[i] = head[j]
+                    clusters[head[j]].append(i)
                 break
-            if j == ell or f[j] >= 1:
+            if j == ell or head[j] not in (None, j):
                 # Action 2: start a new cluster iff compatible with the
                 # previous repaired point; otherwise omit (Action 4).
                 if within_speed(tp, xp, tw[i], Xw[i], s):
-                    f[i] = -1
+                    head[i] = i
                     clusters[i] = [i]
                 break
-            # Action 3 (f[j] in {-1 with unsatisfied, 0}): keep scanning
-            # towards older points.
-    return [clusters[k] for k in sorted(clusters)]
+            # Action 3 (j is an unsatisfied head or omitted): keep
+            # scanning towards older points.
+    return list(clusters.values())
 
 
 def largest_cluster_head(clusters: list[list[int]]) -> int | None:

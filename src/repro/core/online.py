@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .speed import EPS, SpeedConstraint, as_series
+from .speed import SpeedConstraint, as_series
 
 
 class OnlineCleaner:
@@ -62,7 +62,7 @@ class OnlineCleaner:
         self._tbuf.append(float(t))
         self._xbuf.append(np.asarray(x, float))
         # Emit every buffered key point whose lookahead window is complete.
-        while self._tbuf and t > self._tbuf[0] + self.s.window + EPS:
+        while self._tbuf and t > self._tbuf[0] + self.s.window:
             self._emit_first_buffered()
 
     def flush(self) -> None:

@@ -61,10 +61,11 @@ CLEAN_SCHEMA = StructType(
 def ensure_parallel_groups(spark: SparkSession) -> None:
     """Disable AQE partition coalescing for compute-heavy tiny-data groups.
 
-    The cleaning dataflow ships kilobytes of rows into ``applyInPandas``
-    groups that each run seconds of CPU.  AQE sizes shuffle partitions by
-    *bytes* and would coalesce the whole grid into one task, serializing
-    the experiment; group-count parallelism is what matters here.
+    The per-series and per-chunk dataflows ship kilobytes of rows into
+    ``applyInPandas`` groups that each run seconds of CPU.  AQE sizes
+    shuffle partitions by *bytes* and would coalesce all the series or
+    chunks into one task, serializing the cleaning; group-count
+    parallelism is what matters here.
     """
     spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
 

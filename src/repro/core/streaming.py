@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +64,19 @@ class StreamingCleaner:
             grp = grp.sort_values("t")
             for t, v in zip(grp["t"], grp["v"]):
                 cleaner.push(float(t), np.asarray(v, float))
-            for t, xr, _ in cleaner.drain():
-                self.results.append((sid, t, list(map(float, xr))))
+            self._drain(sid, cleaner)
 
     def finish(self) -> pd.DataFrame:
         """Flush every cleaner and return all repairs as a DataFrame."""
         for sid, cleaner in self._state.items():
             cleaner.flush()
-            for t, xr, _ in cleaner.drain():
-                self.results.append((sid, t, list(map(float, xr))))
+            self._drain(sid, cleaner)
         out = pd.DataFrame(self.results, columns=["series_id", "t", "repaired"])
         return out.sort_values(["series_id", "t"]).reset_index(drop=True)
+
+    def _drain(self, sid: str, cleaner: OnlineCleaner) -> None:
+        for t, xr, _ in cleaner.drain():
+            self.results.append((sid, t, list(map(float, xr))))
 
 
 def write_stream_files(
@@ -147,11 +148,7 @@ def run_file_stream(
     query = stream.writeStream.foreachBatch(on_batch).trigger(
         availableNow=True
     ).start()
-    deadline = time.monotonic() + timeout_s
-    while query.isActive and time.monotonic() < deadline:
-        time.sleep(0.2)
-    query.awaitTermination(10)
-    if query.isActive:
+    if not query.awaitTermination(timeout_s):
         query.stop()
         raise TimeoutError("streaming query did not drain in time")
     return state.finish()

@@ -1,12 +1,12 @@
 """Experiment harnesses behind every reproduced table/figure.
 
-The sweep engine distributes the full experiment grid (method x error
-rate x seed, or method x size, ...) as a Spark dataflow: one long-format
-group per grid cell, cleaned inside ``applyInPandas`` workers, with the
-metrics computed in the worker and collected as a small result table.
-This is where the reproduction leans on Spark for the paper's
-multi-seed, multi-method evaluation protocol (10 seeds per point,
-Section 5.1.1).
+The sweep engine distributes the experiment grid (method x error rate x
+seed, or method alone for one embedded-error series) as plain Spark
+tasks: the series is broadcast once, every grid cell is one task that
+injects its errors (or takes the given dirty series), cleans and
+evaluates, and the metric rows are collected in cell order.  This is
+where the reproduction leans on Spark for the paper's multi-seed,
+multi-method evaluation protocol (10 seeds per point, Section 5.1.1).
 """
 from __future__ import annotations
 
@@ -16,34 +16,16 @@ from collections.abc import Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import (
-    DoubleType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
 
-from repro.core.spark_clean import ensure_parallel_groups
 from repro.core.speed import SpeedConstraint, as_series
 from repro.errors import inject_errors
 from repro.methods import METHODS, Context, SkipMethod
 from repro.metrics import evaluate
 
-RESULT_SCHEMA = StructType(
-    [
-        StructField("method", StringType()),
-        StructField("rate", DoubleType()),
-        StructField("seed", LongType()),
-        StructField("n", LongType()),
-        StructField("rmse", DoubleType()),
-        StructField("repair_distance", DoubleType()),
-        StructField("repair_number", DoubleType()),
-        StructField("repair_fraction", DoubleType()),
-        StructField("seconds", DoubleType()),
-        StructField("skipped", StringType()),
-    ]
-)
+#: Per-cell metric columns; NaN for a skipped method, averaged over seeds.
+METRIC_COLUMNS = [
+    "rmse", "repair_distance", "repair_number", "repair_fraction", "seconds"
+]
 
 
 def _run_cell(
@@ -51,7 +33,7 @@ def _run_cell(
     t: np.ndarray,
     dirty: np.ndarray,
     truth: np.ndarray,
-    ctx: Context,
+    s: SpeedConstraint,
     rate: float,
     seed: int,
 ) -> dict:
@@ -61,28 +43,45 @@ def _run_cell(
         "rate": float(rate),
         "seed": int(seed),
         "n": len(t),
-        "rmse": float("nan"),
-        "repair_distance": float("nan"),
-        "repair_number": float("nan"),
-        "repair_fraction": float("nan"),
-        "seconds": float("nan"),
+        **dict.fromkeys(METRIC_COLUMNS, float("nan")),
         "skipped": "",
     }
-    fn = METHODS[method]
     start = time.perf_counter()
     try:
-        Xr, _ = fn(t, dirty, ctx)
+        Xr, _ = METHODS[method](t, dirty, Context(s=s, truth=truth))
     except SkipMethod as e:
         row["skipped"] = str(e)
         return row
     row["seconds"] = time.perf_counter() - start
-    row.update(
-        {
-            k: float(v)
-            for k, v in evaluate(Xr, dirty, truth).items()
-        }
-    )
+    row.update({k: float(v) for k, v in evaluate(Xr, dirty, truth).items()})
     return row
+
+
+def _sweep(
+    spark: SparkSession,
+    t: np.ndarray,
+    truth: np.ndarray,
+    dirty: np.ndarray | None,
+    s: SpeedConstraint,
+    cells: list[tuple[str, float, int]],
+    pattern: str,
+) -> pd.DataFrame:
+    """One Spark task per ``(method, rate, seed)`` cell; rows in cell order.
+
+    With ``dirty=None`` each task injects its cell's errors into ``truth``;
+    otherwise every cell cleans the given ``dirty`` series.
+    """
+    b = spark.sparkContext.broadcast((t, truth, dirty))
+
+    def run(cell: tuple[str, float, int]) -> dict:
+        method, rate, seed = cell
+        tt, tr, dd = b.value
+        if dd is None:
+            dd, _ = inject_errors(tr, rate, pattern=pattern, seed=seed)
+        return _run_cell(method, tt, dd, tr, s, rate, seed)
+
+    rows = spark.sparkContext.parallelize(cells, len(cells)).map(run).collect()
+    return pd.DataFrame(rows)
 
 
 def sweep_injected(
@@ -100,40 +99,11 @@ def sweep_injected(
 
     The base (clean) series is broadcast once; each Spark task injects
     its cell's errors, cleans, and emits one metrics row.  Returns the
-    collected result table as pandas.
+    collected result table as pandas, sorted by (method, rate, seed).
     """
     t, truth = as_series(t, truth)
-    ensure_parallel_groups(spark)
-    sc = spark.sparkContext
-    b_t = sc.broadcast(t)
-    b_truth = sc.broadcast(truth)
-    grid = [
-        (m, float(r), int(sd))
-        for m in methods
-        for r in rates
-        for sd in seeds
-    ]
-    grid_df = spark.createDataFrame(
-        pd.DataFrame(grid, columns=["method", "rate", "seed"])
-    )
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for method, rate, seed in pdf[["method", "rate", "seed"]].itertuples(
-            index=False
-        ):
-            tt = b_t.value
-            tr = b_truth.value
-            dirty, _ = inject_errors(tr, rate, pattern=pattern, seed=int(seed))
-            ctx = Context(s=s, truth=tr)
-            rows.append(_run_cell(method, tt, dirty, tr, ctx, rate, seed))
-        return pd.DataFrame(rows)
-
-    out = (
-        grid_df.groupBy("method", "rate", "seed")
-        .applyInPandas(run, schema=RESULT_SCHEMA)
-        .toPandas()
-    )
+    cells = [(m, float(r), int(sd)) for m in methods for r in rates for sd in seeds]
+    out = _sweep(spark, t, truth, None, s, cells, pattern)
     return out.sort_values(["method", "rate", "seed"]).reset_index(drop=True)
 
 
@@ -147,45 +117,20 @@ def sweep_embedded(
     methods: Sequence[str],
 ) -> pd.DataFrame:
     """Distributed run of many methods on one fixed dirty series
-    (the Table 4 protocol: embedded, labeled real-style errors)."""
+    (the Table 4 protocol: embedded, labeled real-style errors).
+
+    Rows follow the order of ``methods``.
+    """
     t, dirty = as_series(t, dirty)
     truth = as_series(t, truth)[1]
-    ensure_parallel_groups(spark)
-    sc = spark.sparkContext
-    b = sc.broadcast((t, dirty, truth))
-    grid_df = spark.createDataFrame(
-        pd.DataFrame({"method": list(methods), "rate": 0.0, "seed": 0})
-    )
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        tt, dd, tr = b.value
-        rows = [
-            _run_cell(method, tt, dd, tr, Context(s=s, truth=tr), 0.0, 0)
-            for method in pdf["method"]
-        ]
-        return pd.DataFrame(rows)
-
-    out = (
-        grid_df.groupBy("method")
-        .applyInPandas(run, schema=RESULT_SCHEMA)
-        .toPandas()
-    )
-    # Preserve the requested method order.
-    order = {m: i for i, m in enumerate(methods)}
-    return (
-        out.assign(_o=out["method"].map(order))
-        .sort_values("_o")
-        .drop(columns="_o")
-        .reset_index(drop=True)
-    )
+    return _sweep(spark, t, truth, dirty, s, [(m, 0.0, 0) for m in methods], "")
 
 
 def aggregate_over_seeds(df: pd.DataFrame) -> pd.DataFrame:
     """Average metrics over seeds, keeping (method, rate) rows."""
-    keep = ["rmse", "repair_distance", "repair_number", "repair_fraction", "seconds"]
     return (
         df[df["skipped"] == ""]
-        .groupby(["method", "rate"], as_index=False)[keep]
+        .groupby(["method", "rate"], as_index=False)[METRIC_COLUMNS]
         .mean()
     )
 

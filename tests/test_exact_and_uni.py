@@ -60,27 +60,3 @@ class TestUni:
         X[9, 1] = 30.0
         Xr, ch = mtcsc_uni(t, X, SpeedConstraint(1.0, 6.0))
         assert ch[4] and ch[9]
-
-    def test_per_dim_constraint_list(self):
-        t = np.arange(10.0)
-        X = np.zeros((10, 2))
-        cons = [SpeedConstraint(1.0, 5.0), SpeedConstraint(2.0, 5.0)]
-        Xr, ch = mtcsc_uni(t, X, cons)
-        assert not ch.any()
-
-    def test_wrong_constraint_count_raises(self):
-        with pytest.raises(ValueError):
-            mtcsc_uni(
-                np.arange(5.0),
-                np.zeros((5, 3)),
-                [SpeedConstraint(1, 1)] * 2,
-            )
-
-    def test_custom_cleaner(self):
-        from repro.core import mtcsc_l
-
-        t = np.arange(10.0)
-        X = np.zeros((10, 2))
-        X[5, 0] = 40.0
-        Xr, ch = mtcsc_uni(t, X, SpeedConstraint(1.0, 4.0), cleaner=mtcsc_l)
-        assert ch[5]

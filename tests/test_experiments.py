@@ -5,12 +5,14 @@ import pytest
 
 from repro.core import SpeedConstraint
 from repro.datasets import gps_walk, ild
+from repro.errors import inject_errors
 from repro.experiments import (
     aggregate_over_seeds,
     format_table,
     sweep_embedded,
     sweep_injected,
 )
+from repro.methods import METHODS, Context, SkipMethod
 from repro.metrics import evaluate
 
 
@@ -92,6 +94,45 @@ class TestSweepEmbedded:
         methods = ["EWMA", "MTCSC-L", "HTD"]
         out = sweep_embedded(spark, t, dirty, truth, s, methods=methods)
         assert list(out["method"]) == methods
+
+
+@pytest.mark.parametrize("sweep", ["injected", "embedded"])
+def test_sweep_equals_serial_replay(spark, sweep):
+    """Every sweep row equals the serial inject -> clean -> evaluate replay
+    of its cell, exactly, in every column but the wall time."""
+    t, truth = ild(400)  # 3-D: RCSWS must skip
+    s = SpeedConstraint(1.0, 10.0)
+    methods = ["SCREEN", "MTCSC-C", "RCSWS", "MTCSC-A", "HTD", "MTCSC-Uni"]
+    if sweep == "injected":
+        rates, seeds = [0.05, 0.1], [0, 1]
+        out = sweep_injected(
+            spark, t, truth, s, methods=methods, rates=rates, seeds=seeds,
+            pattern="separate",
+        )
+        cells = sorted((m, r, sd) for m in methods for r in rates for sd in seeds)
+    else:
+        embedded, _ = inject_errors(truth, 0.1, seed=7)
+        out = sweep_embedded(spark, t, embedded, truth, s, methods=methods)
+        cells = [(m, 0.0, 0) for m in methods]
+    metrics = ["rmse", "repair_distance", "repair_number", "repair_fraction"]
+    assert list(out.columns) == [
+        "method", "rate", "seed", "n", *metrics, "seconds", "skipped",
+    ]
+    assert list(zip(out["method"], out["rate"], out["seed"])) == cells
+    for (method, rate, seed), (_, row) in zip(cells, out.iterrows()):
+        assert row["n"] == len(t)
+        if sweep == "injected":
+            dirty, _ = inject_errors(truth, rate, pattern="separate", seed=seed)
+        else:
+            dirty = embedded
+        try:
+            Xr, _ = METHODS[method](t, dirty, Context(s, truth))
+        except SkipMethod:
+            assert row["skipped"] != ""
+            assert row[metrics + ["seconds"]].isna().all()
+            continue
+        assert row["skipped"] == ""
+        assert row[metrics].to_dict() == evaluate(Xr, dirty, truth)
 
 
 class TestHelpers:
