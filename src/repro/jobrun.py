@@ -7,16 +7,15 @@ from pyspark.sql import SparkSession
 
 
 def default_spark(app: str) -> SparkSession:
-    """SparkSession for standalone jobs (mirrors the conftest fixture).
+    """The one SparkSession recipe, for the jobs, the benchmark and tests.
 
-    Under pytest the session fixture already exists and ``getOrCreate``
-    returns it; standalone, a local session is built with the same
-    settings.
+    ``getOrCreate`` returns the running session if there is one (under
+    pytest, the ``spark`` fixture's, built by this same call).
     """
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")

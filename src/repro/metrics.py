@@ -1,20 +1,13 @@
-"""Evaluation metrics from Section 5.1.2, as numpy kernels and Spark
-aggregations.
+"""Evaluation metrics from Section 5.1.2, as numpy kernels.
 
 - RMSE between repair and ground truth (per-cell root mean square, all
   dimensions pooled);
 - repair distance  delta(x', x) = sum_i d(x'_i, x_i) / n;
 - repair number    Delta(x', x) = #{i : x'_i != x_i} (and its fraction).
-
-The Spark versions compute the same quantities with DataFrame
-aggregations over a long-format frame and are validated against DuckDB
-through :mod:`repro.oracle` in the tests.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def rmse(repaired: np.ndarray, truth: np.ndarray) -> float:
@@ -55,38 +48,3 @@ def evaluate(
         "repair_fraction": k / n if n else 0.0,
     }
 
-
-# ---------------------------------------------------------------------------
-# Spark aggregations over long-format frames
-# Schema: one row per point with array columns `repaired`, `original`,
-# `truth` (each array<double> of length D).
-
-
-def spark_metrics(df: DataFrame) -> DataFrame:
-    """Compute rmse / repair_distance / repair_number with Spark SQL.
-
-    ``df`` needs array columns ``repaired``, ``original`` and ``truth``.
-    Returns a 1-row DataFrame with columns ``rmse``, ``repair_distance``,
-    ``repair_number``.
-    """
-    sq = (
-        "aggregate(zip_with({a}, {b}, (p, q) -> (p - q) * (p - q)), "
-        "cast(0.0 as double), (acc, v) -> acc + v)"
-    )
-    err2 = F.expr(sq.format(a="repaired", b="truth"))
-    dist2 = F.expr(sq.format(a="repaired", b="original"))
-    ndim = F.size("repaired")
-    moved = F.expr(
-        "exists(zip_with(repaired, original, (p, q) -> abs(p - q) > 1e-9), x -> x)"
-    )
-    per_point = df.select(
-        err2.alias("err2"),
-        ndim.alias("ndim"),
-        F.sqrt(dist2).alias("dist"),
-        moved.cast("int").alias("moved"),
-    )
-    return per_point.agg(
-        F.sqrt(F.sum("err2") / F.sum("ndim")).alias("rmse"),
-        F.avg("dist").alias("repair_distance"),
-        F.sum("moved").cast("long").alias("repair_number"),
-    )

@@ -1,20 +1,13 @@
-"""Spark dataflow layer: per-series and chunked parallel cleaning, metric
-aggregations (oracle-checked against DuckDB), method registry."""
+"""Spark dataflow layer: per-series and chunked parallel cleaning, the
+exact chunk groups, the plan's sizing, method registry."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core import SpeedConstraint, mtcsc_c, mtcsc_l
-from repro.core.spark_clean import (
-    attach_truth,
-    clean_chunked,
-    clean_per_series,
-    to_spark_long,
-)
+from repro.core import SpeedConstraint, mtcsc_c
+from repro.core.spark_clean import clean_chunked, clean_per_series, to_spark_long
 from repro.datasets import gps_walk
-from repro.metrics import evaluate, spark_metrics
-from repro.oracle import assert_equivalent
+from repro.metrics import evaluate
 
 S = SpeedConstraint(1.6, 45.0)
 
@@ -31,12 +24,11 @@ def gps_small():
 class TestToSparkLong:
     def test_roundtrip(self, spark, gps_small):
         t, dirty, truth, mask = gps_small
-        df = to_spark_long(spark, t, dirty, truth=truth)
+        df = to_spark_long(spark, t, dirty)
         assert df.count() == len(t)
         row = df.orderBy("t").first()
         assert row.series_id == "s0"
         assert row.v == pytest.approx(list(dirty[0]))
-        assert row.truth == pytest.approx(list(truth[0]))
 
 
 class TestCleanPerSeries:
@@ -46,7 +38,7 @@ class TestCleanPerSeries:
         out = clean_per_series(df, _clean_fn).orderBy("t").toPandas()
         want, want_ch = mtcsc_c(t, dirty, S)
         got = np.array(out["repaired"].tolist())
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(out["changed"].to_numpy(), want_ch)
 
     def test_multiple_series_independent(self, spark):
@@ -59,10 +51,9 @@ class TestCleanPerSeries:
         out = clean_per_series(df, _clean_fn).toPandas()
         for sid, t, d in (("a", t1, d1), ("b", t2, d2)):
             part = out[out.series_id == sid].sort_values("t")
-            want, _ = mtcsc_c(t, d, S)
-            np.testing.assert_allclose(
-                np.array(part["repaired"].tolist()), want, rtol=1e-9
-            )
+            want, want_ch = mtcsc_c(t, d, S)
+            np.testing.assert_array_equal(np.array(part["repaired"].tolist()), want)
+            np.testing.assert_array_equal(part["changed"].to_numpy(), want_ch)
 
 
 class TestCleanChunked:
@@ -102,46 +93,81 @@ class TestCleanChunked:
             clean_chunked(df, _clean_fn, chunk_rows=10, warmup=-1.0)
 
 
-class TestSparkMetrics:
-    def test_matches_numpy(self, spark, gps_small):
-        t, dirty, truth, mask = gps_small
-        df = to_spark_long(spark, t, dirty, truth=truth)
-        cleaned = clean_per_series(df, _clean_fn)
-        joined = attach_truth(cleaned, df)
-        got = spark_metrics(joined).first()
-        repaired = np.array(
-            clean_per_series(df, _clean_fn).orderBy("t").toPandas()["repaired"].tolist()
-        )
-        want = evaluate(repaired, dirty, truth)
-        assert got.rmse == pytest.approx(want["rmse"], rel=1e-6)
-        assert got.repair_distance == pytest.approx(want["repair_distance"], rel=1e-6)
-        assert got.repair_number == want["repair_number"]
+def _reveal_group(t, X):
+    """Write the group's first ``t`` and row count into every repair."""
+    return np.tile([t[0], len(t)], (len(t), 1)), np.zeros(len(t), bool)
 
-    def test_oracle_checked_against_duckdb(self, spark, gps_small):
-        """The Spark metric aggregation, cross-checked row-for-row with an
-        equivalent DuckDB SQL query over the exploded cell table."""
-        t, dirty, truth, mask = gps_small
-        df = to_spark_long(spark, t, dirty, truth=truth)
-        cleaned = attach_truth(clean_per_series(df, _clean_fn), df)
-        # Explode to scalar cells so DuckDB can aggregate the same data.
-        cells = cleaned.select(
-            "t",
-            F.posexplode("repaired").alias("dim", "rep"),
-        ).join(
-            cleaned.select(
-                "t", F.posexplode("truth").alias("dim", "tru")
-            ),
-            ["t", "dim"],
-        )
-        spark_agg = cells.agg(
-            F.sqrt(F.avg((F.col("rep") - F.col("tru")) ** 2)).alias("rmse")
-        )
-        cells_pd = cells.toPandas()
-        assert_equivalent(
-            spark_agg,
-            "SELECT sqrt(avg((rep - tru) * (rep - tru))) AS rmse FROM cells",
-            cells=cells_pd,
-        )
+
+def _chunk_groups(t, chunk_rows, warmup):
+    """Reference chunk rule: (first t, row count) of each row's group.
+
+    Chunk ``c`` holds rows ``[c*chunk_rows, (c+1)*chunk_rows)`` plus, as
+    warm-up, the rows of chunk ``c-1`` (only) that are no more than
+    ``warmup`` before the chunk's first ``t``.
+    """
+    want = np.empty((len(t), 2))
+    for c, first in enumerate(t[::chunk_rows]):
+        own = slice(c * chunk_rows, (c + 1) * chunk_rows)
+        prev = t[max(0, (c - 1) * chunk_rows) : c * chunk_rows]
+        members = np.concatenate([prev[prev >= first - warmup], t[own]])
+        want[own] = [members[0], len(members)]
+    return want
+
+
+def _irregular_series(n, seed):
+    # Whole-number gaps of 1-3 put rows exactly on a warm-up boundary.
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.integers(1, 4, n)).astype(float), rng.normal(size=(n, 3))
+
+
+class TestChunkGroups:
+    @pytest.mark.parametrize(
+        "chunk_rows, warmup, lengths",
+        [
+            (25, 0.0, (120,)),
+            (10, 1000.0, (120,)),  # warm-up spans many chunks: previous only
+            (1, 3.0, (40,)),
+            (500, 5.0, (120,)),  # one chunk
+            (30, 8.0, (120, 75)),  # two series in one frame
+        ],
+        ids=["warmup0", "warmup-over-chunks", "one-row-chunks", "one-chunk", "two-series"],
+    )
+    def test_groups_exact(self, spark, chunk_rows, warmup, lengths):
+        series = {
+            f"s{i}": _irregular_series(n, seed=10 + i) for i, n in enumerate(lengths)
+        }
+        df = None
+        for sid, (t, X) in series.items():
+            part = to_spark_long(spark, t, X, series_id=sid)
+            df = part if df is None else df.unionByName(part)
+        out = clean_chunked(df, _reveal_group, chunk_rows=chunk_rows, warmup=warmup)
+        out = out.toPandas()
+        assert len(out) == sum(lengths)
+        for sid, (t, X) in series.items():
+            part = out[out.series_id == sid].sort_values("t")
+            np.testing.assert_array_equal(part["t"].to_numpy(), t)
+            np.testing.assert_array_equal(
+                np.array(part["repaired"].tolist()), _chunk_groups(t, chunk_rows, warmup)
+            )
+
+
+class TestPlan:
+    def test_sized_to_cores_and_session_untouched(self, spark, gps_small):
+        key = "spark.sql.adaptive.coalescePartitions.enabled"
+        t, dirty, _, _ = gps_small
+        df = to_spark_long(spark, t, dirty)
+        spark.conf.set(key, "true")
+        try:
+            per_series = clean_per_series(df, _reveal_group)
+            chunked = clean_chunked(df, _reveal_group, chunk_rows=300, warmup=45.0)
+            assert spark.conf.get(key) == "true"
+            n = spark.sparkContext.defaultParallelism
+            assert per_series.rdd.getNumPartitions() == n
+            assert chunked.rdd.getNumPartitions() == n
+            plan = chunked._jdf.queryExecution().executedPlan().toString()
+            assert "Join" not in plan and "Window" not in plan
+        finally:
+            spark.conf.unset(key)
 
 
 class TestMethodRegistry:
