@@ -24,7 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import as_series
+from repro.core.speed import as_cleaner
+
+#: TranAD proxy: the number of lags of the autoregressive predictor.
+ORDER = 8
+#: CAE-M proxy: points per sliding window, and the principal components
+#: kept by the PCA autoencoder.
+WINDOW = 16
+N_COMPONENTS = 3
 
 
 def _lagged_matrix(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,56 +46,48 @@ def _lagged_matrix(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return A, y
 
 
-def tranad_proxy(
-    t: np.ndarray, X: np.ndarray, *, order: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """AR(order) least-squares predictor; predictions are the repairs.
+@as_cleaner
+def tranad_proxy(t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """AR(:data:`ORDER`) least-squares predictor; predictions are the repairs.
 
-    The first ``order`` points (no history) are kept as observed.
-    Returns ``(X_repaired, changed_mask)``.
+    The first ``ORDER`` points (no history) are kept as observed.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
-    n, D = X.shape
-    if n <= order + 1:
-        return X.copy(), np.zeros(n, dtype=bool)
-    A, y = _lagged_matrix(X, order)
+    if len(X) <= ORDER + 1:
+        return X.copy()
+    A, y = _lagged_matrix(X, ORDER)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     Xr = X.copy()
-    Xr[order:] = A @ coef
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    Xr[ORDER:] = A @ coef
+    return Xr
 
 
-def caem_proxy(
-    t: np.ndarray, X: np.ndarray, *, window: int = 16, n_components: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def caem_proxy(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """PCA autoencoder over sliding windows; reconstructions are repairs.
 
-    Windows of ``window`` points (flattened over dimensions) are
-    projected onto the top ``n_components`` principal components and
+    Windows of :data:`WINDOW` points (flattened over dimensions) are
+    projected onto the top :data:`N_COMPONENTS` principal components and
     reconstructed; overlapping reconstructions are averaged per point.
-    Returns ``(X_repaired, changed_mask)``.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
     n, D = X.shape
-    if n < window + 1:
-        return X.copy(), np.zeros(n, dtype=bool)
+    if n < WINDOW + 1:
+        return X.copy()
     # Build the window matrix (stride 1).
-    W = np.empty((n - window + 1, window * D))
-    for i in range(n - window + 1):
-        W[i] = X[i : i + window].ravel()
+    W = np.empty((n - WINDOW + 1, WINDOW * D))
+    for i in range(n - WINDOW + 1):
+        W[i] = X[i : i + WINDOW].ravel()
     mu = W.mean(axis=0)
     Wc = W - mu
     # PCA via SVD on the (possibly large) window matrix.
     _, _, Vt = np.linalg.svd(Wc, full_matrices=False)
-    V = Vt[: min(n_components, Vt.shape[0])]
+    V = Vt[: min(N_COMPONENTS, Vt.shape[0])]
     recon = (Wc @ V.T) @ V + mu
     # Average the overlapping reconstructions per original point.
     acc = np.zeros((n, D))
     cnt = np.zeros(n)
-    for i in range(n - window + 1):
-        acc[i : i + window] += recon[i].reshape(window, D)
-        cnt[i : i + window] += 1
-    Xr = acc / cnt[:, None]
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    for i in range(n - WINDOW + 1):
+        acc[i : i + WINDOW] += recon[i].reshape(WINDOW, D)
+        cnt[i : i + WINDOW] += 1
+    return acc / cnt[:, None]

@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import as_series
+from repro.core.speed import as_cleaner
 
 
-def ewma(
-    t: np.ndarray, X: np.ndarray, *, lam: float = 0.25
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def ewma(t: np.ndarray, X: np.ndarray, *, lam: float = 0.25) -> np.ndarray:
     """Smooth each dimension; ``lam`` is the weight of the new observation.
 
-    Returns ``(X_repaired, changed_mask)``.  Timestamps are accepted for
-    interface uniformity; classic EWMA ignores spacing.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
+    Timestamps are accepted for interface uniformity; classic EWMA
+    ignores spacing.
     """
     if not 0 < lam <= 1:
         raise ValueError(f"lam must be in (0, 1], got {lam}")
-    t, X = as_series(t, X)
     Xr = np.empty_like(X)
     Xr[0] = X[0]
     for k in range(1, len(X)):
         Xr[k] = lam * X[k] + (1.0 - lam) * Xr[k - 1]
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return Xr

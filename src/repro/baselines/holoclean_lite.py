@@ -8,7 +8,7 @@ then letting the probabilistic inference pick repair values.  We rebuild
 that pipeline (the original system plus its PyTorch stack is not
 available offline):
 
-1. quantize each dimension into ``n_buckets`` equal-width buckets;
+1. quantize each dimension into ``N_BUCKETS`` equal-width buckets;
 2. denial-constraint violation = per-dimension speed violation between
    adjacent points;
 3. for each violating cell, the posterior over buckets combines the
@@ -25,21 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import SpeedConstraint, as_series
+from repro.core.speed import SpeedConstraint, as_cleaner
+
+#: Each dimension is quantized into this many equal-width buckets.
+N_BUCKETS = 500
 
 
-def holoclean_lite(
-    t: np.ndarray,
-    X: np.ndarray,
-    s: SpeedConstraint,
-    *,
-    n_buckets: int = 500,
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def holoclean_lite(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Probabilistic bucket-MAP repair of speed-violating cells.
 
-    Returns ``(X_repaired, changed_mask)``.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
     n, D = X.shape
     Xr = X.copy()
     for d in range(D):
@@ -47,10 +44,10 @@ def holoclean_lite(
         lo, hi = float(x.min()), float(x.max())
         if hi <= lo:
             continue
-        centers = lo + (np.arange(n_buckets) + 0.5) * (hi - lo) / n_buckets
+        centers = lo + (np.arange(N_BUCKETS) + 0.5) * (hi - lo) / N_BUCKETS
         # Empirical prior over buckets.
-        idx = np.clip(((x - lo) / (hi - lo) * n_buckets).astype(int), 0, n_buckets - 1)
-        prior = np.bincount(idx, minlength=n_buckets).astype(float) + 1.0
+        idx = np.clip(((x - lo) / (hi - lo) * N_BUCKETS).astype(int), 0, N_BUCKETS - 1)
+        prior = np.bincount(idx, minlength=N_BUCKETS).astype(float) + 1.0
         prior /= prior.sum()
         # Denial-constraint violations: a cell is an error candidate when
         # the per-dimension speed violates on *both* of its sides (the
@@ -81,5 +78,4 @@ def holoclean_lite(
                     n_obs += 1
             if n_obs:
                 Xr[i, d] = centers[int(np.argmax(loglik))]
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return Xr

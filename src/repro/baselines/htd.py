@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import as_series, interpolate
+from repro.core.speed import as_cleaner, interpolate
+
+#: Without labels, the residual threshold is this quantile of the dirty
+#: residuals: conservative, so only the most blatant errors are fixed.
+QUANTILE = 0.999
 
 
 def _residual(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -31,21 +35,18 @@ def _residual(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
+@as_cleaner
 def htd(
-    t: np.ndarray,
-    X: np.ndarray,
-    *,
-    truth: np.ndarray | None = None,
-    quantile: float = 0.999,
-) -> tuple[np.ndarray, np.ndarray]:
+    t: np.ndarray, X: np.ndarray, *, truth: np.ndarray | None = None
+) -> np.ndarray:
     """HTD proxy: detect cells with extreme temporal residual, interpolate.
 
     ``truth`` (the labeled clean data the original method leans on)
     calibrates the residual threshold: the max clean-data residual per
-    dimension.  Without labels a very conservative quantile of the dirty
-    residuals is used.  Returns ``(X_repaired, changed_mask)``.
+    dimension.  Without labels the :data:`QUANTILE` of the dirty
+    residuals is used.  Returns ``(X_repaired, changed_mask)`` (see
+    :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
     n, D = X.shape
     Xr = X.copy()
     for d in range(D):
@@ -54,7 +55,7 @@ def htd(
             rt = np.abs(_residual(t, np.asarray(truth, float)[:, d]))
             thresh = float(rt.max()) * 1.05
         else:
-            thresh = float(np.quantile(r, quantile))
+            thresh = float(np.quantile(r, QUANTILE))
         bad = np.nonzero(r > thresh)[0]
         for i in bad:
             # Interpolate from the nearest non-flagged neighbours.
@@ -66,5 +67,4 @@ def htd(
                 m += 1
             if p >= 0 and m <= n - 1:
                 Xr[i, d] = interpolate(t[p], X[p, d], t[m], X[m, d], t[i])
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return Xr

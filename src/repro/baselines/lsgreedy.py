@@ -2,7 +2,7 @@
 probability model of *speed changes* between adjacent points.
 
 The method fits a Gaussian over the second difference of the series
-(speed change u_k), flags points whose |u_k - mu| exceeds ``k_sigma``
+(speed change u_k), flags points whose |u_k - mu| exceeds ``K_SIGMA``
 standard deviations, and greedily repairs the worst-offending point
 first by setting its value so that its speed change becomes the model
 mean.  Repairing a point updates its neighbours' speed changes, so a
@@ -18,7 +18,13 @@ import heapq
 
 import numpy as np
 
-from repro.core.speed import as_series
+from repro.core.speed import as_cleaner
+
+#: A point is flagged when its speed change lies more than ``K_SIGMA``
+#: robust standard deviations from the model median.
+K_SIGMA = 3.0
+#: The greedy loop makes at most this many repairs per point of the series.
+MAX_ITER_PER_POINT = 5
 
 
 def _speed_changes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -27,9 +33,7 @@ def _speed_changes(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[1:] - v[:-1]
 
 
-def _lsgreedy_1d(
-    t: np.ndarray, x: np.ndarray, k_sigma: float, max_iter: int
-) -> np.ndarray:
+def _lsgreedy_1d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     n = len(t)
     if n < 3:
         return x.copy()
@@ -43,7 +47,7 @@ def _lsgreedy_1d(
     sigma = 1.4826 * mad if mad > 0 else float(np.std(u))
     if sigma == 0:
         return xr
-    thresh = k_sigma * sigma
+    thresh = K_SIGMA * sigma
 
     def z(i: int) -> float:  # |deviation| of point i (1..n-2)
         dt0 = t[i] - t[i - 1]
@@ -54,7 +58,7 @@ def _lsgreedy_1d(
     heap = [(-z(i), i) for i in range(1, n - 1)]
     heapq.heapify(heap)
     it = 0
-    while heap and it < max_iter:
+    while heap and it < MAX_ITER_PER_POINT * n:
         nz, i = heapq.heappop(heap)
         cur = z(i)
         if abs(-nz - cur) > 1e-12:  # stale entry; reinsert with fresh key
@@ -75,23 +79,10 @@ def _lsgreedy_1d(
     return xr
 
 
-def lsgreedy(
-    t: np.ndarray,
-    X: np.ndarray,
-    *,
-    k_sigma: float = 3.0,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def lsgreedy(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Run LsGreedy per dimension (it is a univariate method).
 
-    Returns ``(X_repaired, changed_mask)``.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
-    n = len(t)
-    if max_iter is None:
-        max_iter = 5 * n
-    Xr = np.empty_like(X)
-    for d in range(X.shape[1]):
-        Xr[:, d] = _lsgreedy_1d(t, X[:, d], k_sigma, max_iter)
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return np.column_stack([_lsgreedy_1d(t, x) for x in X.T])

@@ -14,32 +14,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import as_series
+from repro.core.speed import as_cleaner
+
+#: The sliding window holds the ``HALF_WINDOW`` points on either side.
+HALF_WINDOW = 10
+#: The range-constraint radius is this quantile of the distances to the
+#: window medians.
+QUANTILE = 0.95
 
 
-def rcsws(
-    t: np.ndarray,
-    X: np.ndarray,
-    *,
-    half_window: int = 10,
-    quantile: float = 0.95,
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def rcsws(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Range-constraint + sliding-window-statistics repair for 2-D series.
 
-    Returns ``(X_repaired, changed_mask)``.  Raises for D != 2, as the
-    original method is defined on GPS (lat, lon) data only.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
+    Raises for D != 2, as the original method is defined on GPS
+    (lat, lon) data only.
     """
-    t, X = as_series(t, X)
     n, D = X.shape
     if D != 2:
         raise ValueError(f"RCSWS is defined for 2-D GPS data, got D={D}")
     # Range-constraint radius: quantile of point-to-window-median distances.
     med = np.empty_like(X)
     for i in range(n):
-        lo, hi = max(0, i - half_window), min(n, i + half_window + 1)
+        lo, hi = max(0, i - HALF_WINDOW), min(n, i + HALF_WINDOW + 1)
         med[i] = np.median(X[lo:hi], axis=0)
     dist = np.sqrt(np.sum((X - med) ** 2, axis=1))
-    radius = float(np.quantile(dist, quantile))
+    radius = float(np.quantile(dist, QUANTILE))
     Xr = X.copy()
     out = dist > radius
     for i in np.nonzero(out)[0]:
@@ -48,5 +49,4 @@ def rcsws(
         norm = np.sqrt(np.sum(direction**2))
         if norm > 0:
             Xr[i] = X[i] + direction * (1.0 - radius / norm)
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return Xr

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import SpeedConstraint, as_series
+from repro.core.speed import SpeedConstraint, as_cleaner
 
 
 def _screen_1d(
@@ -57,16 +57,10 @@ def _screen_1d(
     return xr
 
 
-def screen(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def screen(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Run SCREEN per dimension with the symmetric constraint (-s, s).
 
-    Returns ``(X_repaired, changed_mask)``.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
-    Xr = np.empty_like(X)
-    for d in range(X.shape[1]):
-        Xr[:, d] = _screen_1d(t, X[:, d], s.smax, s.window)
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return np.column_stack([_screen_1d(t, x, s.smax, s.window) for x in X.T])

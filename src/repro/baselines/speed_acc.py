@@ -14,29 +14,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.speed import SpeedConstraint, as_series
+from repro.core.speed import SpeedConstraint, as_cleaner
 
 from .screen import _screen_1d
 
 
+@as_cleaner
 def speed_acc(
-    t: np.ndarray,
-    X: np.ndarray,
-    s: SpeedConstraint,
-    *,
-    amax: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    t: np.ndarray, X: np.ndarray, s: SpeedConstraint, *, amax: float | None = None
+) -> np.ndarray:
     """Run SpeedAcc per dimension; ``amax`` defaults to ``2*s/median(dt)``
     (a loose acceleration bound when none is given).
 
-    Returns ``(X_repaired, changed_mask)``.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
     if amax is None:
         dt_med = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
         amax = 2.0 * s.smax / dt_med
-    Xr = np.empty_like(X)
-    for d in range(X.shape[1]):
-        Xr[:, d] = _screen_1d(t, X[:, d], s.smax, s.window, amax)
-    changed = np.any(~np.isclose(Xr, X, rtol=0, atol=1e-12), axis=1)
-    return Xr, changed
+    return np.column_stack([_screen_1d(t, x, s.smax, s.window, amax) for x in X.T])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .mtcsc_c import ClusterCleaner
 from .online import run
-from .speed import SpeedConstraint, distance
+from .speed import SpeedConstraint, as_cleaner, distance
 
 
 def bucketize(speeds: np.ndarray, b: int, s: float) -> np.ndarray:
@@ -133,6 +133,7 @@ class AdaptiveCleaner(ClusterCleaner):
         return self._adaptive.s
 
 
+@as_cleaner
 def mtcsc_a(
     t: np.ndarray,
     X: np.ndarray,
@@ -142,6 +143,9 @@ def mtcsc_a(
     tau: float = 0.75,
     m: int = 150,
     beta: float = 0.75,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch MTCSC-A.  Returns ``(X_repaired, changed_mask)``."""
+) -> np.ndarray:
+    """Batch MTCSC-A.
+
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
+    """
     return run(AdaptiveCleaner(s, b=b, tau=tau, m=m, beta=beta), t, X)

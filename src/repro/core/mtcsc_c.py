@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .online import OnlineCleaner, run
-from .speed import SpeedConstraint, interpolate, satisfy, within_speed
+from .speed import SpeedConstraint, as_cleaner, interpolate, satisfy, within_speed
 
 
 def build_cluster(
@@ -113,8 +113,8 @@ class ClusterCleaner(OnlineCleaner):
             self._last_accept_t = tk
             ti, xi = ts[1 + head], xs[1 + head]
             if satisfy(tp, xp, tk, xk, s) and within_speed(tk, xk, ti, xi, s):
-                return xk, False
-            return interpolate(tp, xp, ti, xi, tk), True
+                return xk
+            return interpolate(tp, xp, ti, xi, tk)
         # No compatible trend in the window: behave like MTCSC-L's fallback
         # — keep the point if compatible, else carry the previous repair
         # forward (or re-anchor on a stale carried repair, see above).
@@ -122,12 +122,14 @@ class ClusterCleaner(OnlineCleaner):
             self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window
         ):
             self._last_accept_t = tk
-            return xk, False
-        return xp.copy(), True
+            return xk
+        return xp.copy()
 
 
-def mtcsc_c(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch MTCSC-C.  Returns ``(X_repaired, changed_mask)``."""
+@as_cleaner
+def mtcsc_c(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
+    """Batch MTCSC-C.
+
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
+    """
     return run(ClusterCleaner(s), t, X)

@@ -19,14 +19,21 @@ Complexity: the paper states O(Dn^2).  We keep an exact O(Dnw') variant
 The first term is a running prefix maximum; only in-window predecessors
 are checked explicitly (vectorized).  The split tests the same float
 expressions as :func:`satisfy` and breaks ties towards the earliest
-predecessor, so the kept chain is identical to the naive O(n^2) DP's
-(asserted in tests).
+predecessor, so the kept chain is identical to the naive O(n^2) DP's,
+:func:`_chain_dp_naive` (asserted in tests).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .speed import SpeedConstraint, as_series, interpolate, satisfy, within_bound
+from .speed import (
+    SpeedConstraint,
+    as_cleaner,
+    as_series,
+    interpolate,
+    satisfy,
+    within_bound,
+)
 
 
 def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
@@ -63,13 +70,7 @@ def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
                 if dp[j] + 1 > dp[i]:
                     dp[i] = dp[j] + 1
                     pre[i] = j
-    # Reconstruct the longest chain.
-    end = int(np.argmax(dp))
-    keep = []
-    while end >= 0:
-        keep.append(end)
-        end = int(pre[end])
-    return np.array(keep[::-1], dtype=np.int64)
+    return _backtrack(dp, pre)
 
 
 def _chain_dp_naive(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
@@ -82,7 +83,12 @@ def _chain_dp_naive(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndar
             if satisfy(t[j], X[j], t[i], X[i], s) and dp[i] < dp[j] + 1:
                 dp[i] = dp[j] + 1
                 pre[i] = j
-    end = int(np.argmax(dp))
+    return _backtrack(dp, pre)
+
+
+def _backtrack(dp: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Indices of the longest chain, from its DP table; empty when ``n = 0``."""
+    end = int(np.argmax(dp)) if len(dp) else -1
     keep = []
     while end >= 0:
         keep.append(end)
@@ -90,22 +96,15 @@ def _chain_dp_naive(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndar
     return np.array(keep[::-1], dtype=np.int64)
 
 
-def _repair_fixlist(
-    t: np.ndarray, X: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _repair_fixlist(t: np.ndarray, X: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Interpolate every non-kept point between its nearest clean anchors.
 
-    Boundary handling: points before the first (after the last) clean
-    anchor take that anchor's value — there is no second anchor to
-    interpolate with.
+    ``keep`` is non-empty (a chain holds at least one point).  Boundary
+    handling: points before the first (after the last) clean anchor take
+    that anchor's value — there is no second anchor to interpolate with.
     """
-    n = len(t)
     Xr = X.copy()
-    fixed = np.ones(n, dtype=bool)
-    fixed[keep] = False
-    if len(keep) == 0:  # degenerate: nothing satisfiable, leave data as is
-        return Xr, np.zeros(n, dtype=bool)
-    for i in np.nonzero(fixed)[0]:
+    for i in np.setdiff1d(np.arange(len(t)), keep):
         pos = np.searchsorted(keep, i)
         p = keep[pos - 1] if pos > 0 else -1
         m = keep[pos] if pos < len(keep) else -1
@@ -115,30 +114,19 @@ def _repair_fixlist(
             Xr[i] = X[p]
         else:
             Xr[i] = X[m]
-    # A point whose interpolation equals its observation is not a repair.
-    changed = fixed & np.any(Xr != X, axis=1)
-    return Xr, changed
+    return Xr
 
 
-def mtcsc_g(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint, *, naive: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def mtcsc_g(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Global minimum-fix repair.
 
-    Returns ``(X_repaired, changed_mask)``.  ``naive=True`` runs the
-    literal O(n^2) DP from the paper (for validation).
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    t, X = as_series(t, X)
-    if len(t) == 0:
-        return X.copy(), np.zeros(0, dtype=bool)
-    keep = (_chain_dp_naive if naive else _chain_dp)(t, X, s)
-    return _repair_fixlist(t, X, keep)
+    return _repair_fixlist(t, X, _chain_dp(t, X, s))
 
 
 def fix_list(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Indices Algorithm 1 marks for repair (the complement of the chain)."""
     t, X = as_series(t, X)
-    keep = _chain_dp(t, X, s)
-    mask = np.ones(len(t), dtype=bool)
-    mask[keep] = False
-    return np.nonzero(mask)[0]
+    return np.setdiff1d(np.arange(len(t)), _chain_dp(t, X, s))

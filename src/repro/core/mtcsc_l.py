@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .online import OnlineCleaner, run
-from .speed import SpeedConstraint, interpolate, satisfy, within_speed
+from .speed import SpeedConstraint, as_cleaner, interpolate, satisfy, within_speed
 
 
 class LocalCleaner(OnlineCleaner):
@@ -25,15 +25,17 @@ class LocalCleaner(OnlineCleaner):
     def decide(self, ts, xs, hi):
         tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
         if satisfy(tp, xp, tk, xk, self.s):
-            return xk, False
+            return xk
         for i in range(1, hi):
             if within_speed(tp, xp, ts[i], xs[i], self.s):
-                return interpolate(tp, xp, ts[i], xs[i], tk), True
-        return xp.copy(), True
+                return interpolate(tp, xp, ts[i], xs[i], tk)
+        return xp.copy()
 
 
-def mtcsc_l(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch MTCSC-L.  Returns ``(X_repaired, changed_mask)``."""
+@as_cleaner
+def mtcsc_l(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
+    """Batch MTCSC-L.
+
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
+    """
     return run(LocalCleaner(s), t, X)

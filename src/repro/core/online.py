@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .speed import SpeedConstraint, as_series
+from .speed import SpeedConstraint
 
 
 class OnlineCleaner:
@@ -32,28 +32,28 @@ class OnlineCleaner:
         self._xbuf: list[np.ndarray] = []
         self._prev_t: float | None = None  # timestamp of last emitted repair
         self._prev_x: np.ndarray | None = None  # value of last emitted repair
-        self._out: list[tuple[float, np.ndarray, bool]] = []
+        self._out: list[tuple[float, np.ndarray]] = []
 
-    def decide(
-        self, ts: list[float], xs: list[np.ndarray], hi: int
-    ) -> tuple[np.ndarray, bool]:
-        """Repair the key point ``(ts[0], xs[0])``; return ``(x_repaired, changed)``.
+    def decide(self, ts: list[float], xs: list[np.ndarray], hi: int) -> np.ndarray:
+        """Return the repair of the key point ``(ts[0], xs[0])``.
 
         ``ts[1:hi]``/``xs[1:hi]`` are its successors inside the lookahead
         window.  Called for every point but the first, so the previous
-        repair (``self._prev_t``, ``self._prev_x``) is always set.
+        repair (``self._prev_t``, ``self._prev_x``) is always set.  A kept
+        point is returned as ``xs[0]`` itself; whether a point changed is
+        decided once, by :func:`repro.core.speed.moved`.
         """
         raise NotImplementedError
 
     def _emit_first_buffered(self) -> None:
         ts, xs = self._tbuf, self._xbuf
         if self._prev_x is None:
-            xr, changed = xs[0], False
+            xr = xs[0]
         else:
-            xr, changed = self.decide(ts, xs, bisect_right(ts, ts[0] + self.s.window))
+            xr = self.decide(ts, xs, bisect_right(ts, ts[0] + self.s.window))
         tk = ts.pop(0)
         xs.pop(0)
-        self._out.append((tk, xr, changed))
+        self._out.append((tk, xr))
         self._prev_t, self._prev_x = tk, xr
 
     def push(self, t: float, x: np.ndarray) -> None:
@@ -70,26 +70,19 @@ class OnlineCleaner:
         while self._tbuf:
             self._emit_first_buffered()
 
-    def drain(self) -> list[tuple[float, np.ndarray, bool]]:
-        """Return and clear the repairs emitted so far."""
+    def drain(self) -> list[tuple[float, np.ndarray]]:
+        """Return and clear the ``(t, x_repaired)`` pairs emitted so far."""
         out, self._out = self._out, []
         return out
 
 
-def run(
-    cleaner: OnlineCleaner, t: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clean a whole series with a fresh ``cleaner``.
+def run(cleaner: OnlineCleaner, t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Clean a whole non-empty series with a fresh ``cleaner``; return the repair.
 
-    Returns ``(X_repaired, changed_mask)``.
+    The body of the batch online cleaners, under
+    :func:`repro.core.speed.as_cleaner`.
     """
-    t, X = as_series(t, X)
     for i in range(len(t)):
         cleaner.push(t[i], X[i])
     cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    # A "repair" identical to the observation is not counted as changed.
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    return np.vstack([x for _, x in cleaner.drain()])

@@ -8,11 +8,13 @@ unconstrained.  ``s_min = 0`` throughout (Section 2.1).
 
 All kernels operate on plain numpy arrays ``t`` (shape ``(n,)``, strictly
 increasing) and ``X`` (shape ``(n, D)``) so they are testable without
-Spark and directly usable inside ``applyInPandas`` workers; every kernel
-takes its input through :func:`as_series`, the one input contract.
+Spark and directly usable inside ``applyInPandas`` workers.  Every
+cleaner is wrapped by :func:`as_cleaner`, the one cleaner contract: its
+input passes :func:`as_series` and its ``changed`` mask is :func:`moved`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,37 @@ def as_series(t, X) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(t) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     return t, X
+
+
+def moved(Xr: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows where some dimension of the repair ``Xr`` moved by more than 1e-9.
+
+    The repair-number rule ``x'_i != x_i`` of Section 5.1.2, blind to
+    float noise: it is every cleaner's ``changed`` mask and what
+    :func:`repro.metrics.repair_number` counts.
+    """
+    return np.any(np.abs(Xr - X) > 1e-9, axis=1)
+
+
+def as_cleaner(body):
+    """The cleaner contract: turn ``body(t, X, ...) -> Xr`` into a cleaner.
+
+    The wrapped function validates ``(t, X)`` with :func:`as_series`,
+    returns the empty repair and mask for an empty series without calling
+    ``body``, and otherwise returns ``(Xr, moved(Xr, X))``.  So ``body``
+    sees only non-empty, validated float input and returns only its
+    repair, a new ``(n, D)`` array.
+    """
+
+    @functools.wraps(body)
+    def clean(t, X, *args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+        t, X = as_series(t, X)
+        if len(t) == 0:
+            return X.copy(), np.zeros(0, dtype=bool)
+        Xr = body(t, X, *args, **kwargs)
+        return Xr, moved(Xr, X)
+
+    return clean
 
 
 def within_bound(d, dt, smax: float):

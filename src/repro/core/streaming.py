@@ -25,25 +25,14 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import (
-    ArrayType,
-    DoubleType,
-    StringType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import StructType
 
 from . import ONLINE_CLEANERS
 from .online import OnlineCleaner
+from .spark_clean import INPUT_FIELDS
 from .speed import SpeedConstraint, as_series
 
-INPUT_SCHEMA = StructType(
-    [
-        StructField("series_id", StringType()),
-        StructField("t", DoubleType()),
-        StructField("v", ArrayType(DoubleType())),
-    ]
-)
+INPUT_SCHEMA = StructType(INPUT_FIELDS)
 
 
 class StreamingCleaner:
@@ -75,7 +64,7 @@ class StreamingCleaner:
         return out.sort_values(["series_id", "t"]).reset_index(drop=True)
 
     def _drain(self, sid: str, cleaner: OnlineCleaner) -> None:
-        for t, xr, _ in cleaner.drain():
+        for t, xr in cleaner.drain():
             self.results.append((sid, t, list(map(float, xr))))
 
 

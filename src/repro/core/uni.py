@@ -10,22 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .mtcsc_c import mtcsc_c
-from .speed import SpeedConstraint, as_series
+from .speed import SpeedConstraint, as_cleaner
 
 
-def mtcsc_uni(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint
-) -> tuple[np.ndarray, np.ndarray]:
+@as_cleaner
+def mtcsc_uni(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Clean each dimension with its own univariate MTCSC-C run.
 
-    Returns ``(X_repaired, changed_mask)`` where a point counts as changed
-    if any of its dimensions was changed.
+    Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`), where
+    a point counts as changed if any of its dimensions moved.
     """
-    t, X = as_series(t, X)
-    Xr = np.empty_like(X)
-    changed = np.zeros(len(t), dtype=bool)
-    for d in range(X.shape[1]):
-        col, ch = mtcsc_c(t, X[:, d : d + 1], s)
-        Xr[:, d] = col[:, 0]
-        changed |= ch
-    return Xr, changed
+    return np.column_stack([mtcsc_c(t, x[:, None], s)[0] for x in X.T])

@@ -3,6 +3,10 @@
 Each entry maps a paper method name to a callable
 ``fn(t, X, ctx) -> (X_repaired, changed_mask)`` where ``ctx`` carries the
 speed constraint and, optionally, the ground truth for HTD's labels.
+Every cleaner behind an entry keeps one contract,
+:func:`repro.core.speed.as_cleaner`: input validated by ``as_series``,
+an empty series returned empty, and ``changed_mask`` given by
+:func:`repro.core.speed.moved`.
 Methods that cannot run on a dataset (RCSWS on D != 2) raise
 ``SkipMethod`` and harnesses report them as not-applicable, matching the
 paper's per-dataset method lists.

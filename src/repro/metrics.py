@@ -3,11 +3,15 @@
 - RMSE between repair and ground truth (per-cell root mean square, all
   dimensions pooled);
 - repair distance  delta(x', x) = sum_i d(x'_i, x_i) / n;
-- repair number    Delta(x', x) = #{i : x'_i != x_i} (and its fraction).
+- repair number    Delta(x', x) = #{i : x'_i != x_i} (and its fraction),
+  counted by :func:`repro.core.speed.moved`, the rule behind every
+  cleaner's ``changed`` mask.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.speed import moved
 
 
 def rmse(repaired: np.ndarray, truth: np.ndarray) -> float:
@@ -26,13 +30,11 @@ def repair_distance(repaired: np.ndarray, original: np.ndarray) -> float:
     return float(np.mean(np.sqrt(np.sum((a - b) ** 2, axis=1))))
 
 
-def repair_number(
-    repaired: np.ndarray, original: np.ndarray, *, atol: float = 1e-9
-) -> int:
+def repair_number(repaired: np.ndarray, original: np.ndarray) -> int:
     """Number of points with any modified dimension."""
     a = np.atleast_2d(np.asarray(repaired, float))
     b = np.atleast_2d(np.asarray(original, float))
-    return int(np.sum(np.any(np.abs(a - b) > atol, axis=1)))
+    return int(np.sum(moved(a, b)))
 
 
 def evaluate(

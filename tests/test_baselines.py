@@ -13,7 +13,8 @@ from repro.baselines import (
     speed_acc,
     tranad_proxy,
 )
-from repro.core import SpeedConstraint
+from repro.core import SpeedConstraint, mtcsc_a, mtcsc_c, mtcsc_g, mtcsc_l, mtcsc_uni
+from repro.metrics import evaluate
 
 S = SpeedConstraint(1.0, 8.0)
 
@@ -41,8 +42,19 @@ ALL = [
 ]
 
 
+#: The MTCSC cleaners, so that the output contract is checked on all of
+#: ``repro.methods.METHODS``.
+MTCSC = [
+    ("mtcsc_g", lambda t, X: mtcsc_g(t, X, S)),
+    ("mtcsc_l", lambda t, X: mtcsc_l(t, X, S)),
+    ("mtcsc_c", lambda t, X: mtcsc_c(t, X, S)),
+    ("mtcsc_a", lambda t, X: mtcsc_a(t, X, S)),
+    ("mtcsc_uni", lambda t, X: mtcsc_uni(t, X, S)),
+]
+
+
 class TestContracts:
-    @pytest.mark.parametrize("name,fn", ALL)
+    @pytest.mark.parametrize("name,fn", ALL + MTCSC)
     def test_shapes_and_mask(self, name, fn):
         t, X, truth, idx = _spiky_series()
         Xr, ch = fn(t, X)
@@ -51,6 +63,7 @@ class TestContracts:
         # The mask marks exactly the modified points.
         moved = np.any(np.abs(Xr - X) > 1e-12, axis=1)
         np.testing.assert_array_equal(ch, moved)
+        assert evaluate(Xr, X, truth)["repair_number"] == ch.sum()
 
     @pytest.mark.parametrize("name,fn", ALL)
     def test_input_not_mutated(self, name, fn):
@@ -250,7 +263,7 @@ class TestDlProxies:
 
     def test_caem_short_series_noop(self):
         t = np.arange(8.0)
-        Xr, ch = caem_proxy(t, np.zeros((8, 2)), window=16)
+        Xr, ch = caem_proxy(t, np.zeros((8, 2)))
         assert not ch.any()
 
     def test_caem_reconstruction_smooth(self):

@@ -1,4 +1,5 @@
-"""Every cleaner takes its input through one contract (``as_series``)."""
+"""Every cleaner takes its input through one contract (``as_series``),
+and every ``METHODS`` cleaner returns the empty repair for an empty series."""
 import numpy as np
 import pytest
 
@@ -45,6 +46,18 @@ def test_bad_input_raises(name, case):
     t, X, msg = BAD[case]
     with pytest.raises(ValueError, match=msg):
         KERNELS[name](t, X)
+
+
+@pytest.mark.parametrize("name", sorted([*METHODS, "fix_list"]))
+def test_empty_series(name):
+    t, X = np.zeros(0), np.zeros((0, 2))
+    if name == "fix_list":
+        idx = fix_list(t, X, S)
+        assert idx.shape == (0,) and idx.dtype.kind == "i"
+        return
+    Xr, ch = KERNELS[name](t, X)
+    assert Xr.shape == (0, 2) and Xr.dtype == float
+    assert ch.shape == (0,) and ch.dtype == bool
 
 
 def test_as_series_shapes():

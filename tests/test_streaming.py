@@ -27,8 +27,8 @@ class TestStreamingCleaner:
             {"series_id": "s0", "t": t, "v": list(map(list, dirty))}
         )
         # Feed in 7 uneven micro-batches.
-        for part in np.array_split(pdf, 7):
-            sc.process_batch(part)
+        for i in np.array_split(np.arange(len(pdf)), 7):
+            sc.process_batch(pdf.iloc[i])
         out = sc.finish()
         want, _ = batch_fn(t, dirty, S)
         got = np.array(out["repaired"].tolist())
@@ -54,8 +54,8 @@ class TestStreamingCleaner:
             rows.append(("b", t2[i], list(d2[i])))
         pdf = pd.DataFrame(rows, columns=["series_id", "t", "v"])
         sc = StreamingCleaner(S, variant="MTCSC-L")
-        for part in np.array_split(pdf, 5):
-            sc.process_batch(part)
+        for i in np.array_split(np.arange(len(pdf)), 5):
+            sc.process_batch(pdf.iloc[i])
         out = sc.finish()
         for sid, t, d in (("a", t1, d1), ("b", t2, d2)):
             got = np.array(
