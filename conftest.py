@@ -58,14 +58,13 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The per-session configs that *are* honoured
-    post-launch (shuffle partitions, Arrow, broadcast threshold) are those
-    of :func:`repro.jobrun.default_spark`, the recipe the jobs and the
-    benchmark use.
+    pre-JVM-launch). The session configs honoured post-launch (Arrow) are
+    those of :func:`repro.jobrun.default_spark`, the recipe the jobs and
+    the benchmark use.
     """
     s = default_spark("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test output that tells whether the cgroup
+    # derivation above saw the real memory limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

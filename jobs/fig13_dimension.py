@@ -13,39 +13,25 @@ import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ecg
-from repro.experiments import aggregate_over_seeds, format_table, sweep_injected
+from repro.experiments import format_table, sweep_cases
 from repro.jobrun import default_spark
 
 PROPOSALS = ["MTCSC-G", "MTCSC-L", "MTCSC-C"]
+RATE = 0.05
+WINDOW = 10.0
 
 
 def run_fig13(
-    spark,
-    *,
-    n: int = 10_000,
-    dims=(2, 4, 8, 16, 32),
-    seeds: int = 3,
-    rate: float = 0.05,
-    window: float = 10.0,
+    spark, *, n: int = 10_000, dims=(2, 4, 8, 16, 32), seeds: int = 3
 ) -> pd.DataFrame:
-    frames = []
+    cases = []
     for d in dims:
         t, X = ecg(n, d)
-        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), window)
-        out = sweep_injected(
-            spark,
-            t,
-            X,
-            s,
-            methods=PROPOSALS,
-            rates=[rate],
-            seeds=range(seeds),
-            pattern="together",
-        )
-        agg = aggregate_over_seeds(out)
-        agg.insert(0, "D", d)
-        frames.append(agg)
-    return pd.concat(frames, ignore_index=True)
+        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), WINDOW)
+        cases.append(({"D": d}, t, X, s, "together"))
+    return sweep_cases(
+        spark, cases, methods=PROPOSALS, rates=[RATE], seeds=range(seeds)
+    )
 
 
 def main() -> None:

@@ -25,13 +25,14 @@ from repro.metrics import rmse as rmse_fn
 
 METHODS = ["MTCSC-A", "MTCSC-C", "MTCSC-G", "SCREEN", "LsGreedy", "EWMA", "RCSWS"]
 INITIAL = {"walk(1.6)": 1.6, "run(3.33)": 3.33, "cycle(5.0)": 5.0}
+WINDOW = 45.0
 
 
-def run_fig14(spark, *, n: int = 8_000, window: float = 45.0) -> pd.DataFrame:
+def run_fig14(spark, *, n: int = 8_000) -> pd.DataFrame:
     t, dirty, truth, mask, mode = gps_mixed(n)
     frames = []
     for label, s0 in INITIAL.items():
-        s = SpeedConstraint(s0, window)
+        s = SpeedConstraint(s0, WINDOW)
         out = sweep_embedded(spark, t, dirty, truth, s, methods=METHODS)
         out = out[["method", "rmse", "repair_number"]].copy()
         out.insert(0, "initial_speed", label)

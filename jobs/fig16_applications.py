@@ -18,8 +18,8 @@ import argparse
 import numpy as np
 import pandas as pd
 
-from repro.core import SpeedConstraint, estimate_speed
-from repro.core.spark_clean import clean_per_series, to_spark_long
+from repro.core import SpeedConstraint
+from repro.core.spark_clean import clean_per_series
 from repro.datasets import CLASSIFICATION
 from repro.errors import inject_errors
 from repro.jobrun import default_spark
@@ -28,6 +28,8 @@ from repro.mining import kmeans, knn_classify, rand_index
 from repro.experiments import format_table
 
 CLEANERS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "LsGreedy", "EWMA"]
+TRAIN_FRAC = 0.6
+SEED = 0
 
 
 def _clean_archive(spark, t, X3, method: str, s: SpeedConstraint) -> np.ndarray:
@@ -56,28 +58,26 @@ def _clean_archive(spark, t, X3, method: str, s: SpeedConstraint) -> np.ndarray:
     return X_clean
 
 
-def run_fig16(
-    spark, *, rate: float = 0.10, train_frac: float = 0.6, seed: int = 0
-) -> pd.DataFrame:
+def run_fig16(spark, *, rate: float = 0.10) -> pd.DataFrame:
     rows = []
     for name, gen in CLASSIFICATION.items():
         X, y = gen()
-        g = np.random.default_rng(seed)
+        g = np.random.default_rng(SEED)
         idx = g.permutation(len(X))
-        n_train = max(2, int(train_frac * len(X)))
+        n_train = max(2, int(TRAIN_FRAC * len(X)))
         tr, te = idx[:n_train], idx[n_train:]
         t = np.arange(X.shape[1], dtype=float)
         # Inject 10% errors into each training series ("together").
         dirty = X[tr].copy()
         for i in range(len(dirty)):
             dirty[i], _ = inject_errors(
-                dirty[i], rate, pattern="together", seed=seed * 1000 + i
+                dirty[i], rate, pattern="together", seed=SEED * 1000 + i
             )
         k_classes = len(np.unique(y))
 
         def score(train_X, label):
             f1, _ = knn_classify(train_X, y[tr], X[te], y[te])
-            ri = rand_index(y[tr], kmeans(train_X, k_classes, seed=seed))
+            ri = rand_index(y[tr], kmeans(train_X, k_classes, seed=SEED))
             rows.append({"dataset": name, "train_data": label, "f1": f1, "ri": ri})
 
         score(X[tr], "Clean")

@@ -13,29 +13,24 @@ import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import stock
-from repro.experiments import aggregate_over_seeds, format_table, sweep_injected
+from repro.experiments import format_table, sweep_cases
 from repro.jobrun import default_spark
 
 PROPOSALS = ["MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-A"]
 RATES = [0.025, 0.05, 0.075, 0.10, 0.15, 0.20]
+WINDOW = 10.0
 
 
-def run_fig5(
-    spark, *, n: int = 12_000, seeds: int = 10, window: float = 10.0
-) -> pd.DataFrame:
+def run_fig5(spark, *, n: int = 12_000, seeds: int = 10) -> pd.DataFrame:
     t, X = stock(n)
-    s = SpeedConstraint(estimate_speed(t, X, 0.99, scale=1.2), window)
-    out = sweep_injected(
+    s = SpeedConstraint(estimate_speed(t, X, 0.99, scale=1.2), WINDOW)
+    return sweep_cases(
         spark,
-        t,
-        X,
-        s,
+        [({}, t, X, s, "together")],
         methods=PROPOSALS,
         rates=RATES,
         seeds=range(seeds),
-        pattern="together",
     )
-    return aggregate_over_seeds(out)
 
 
 def main() -> None:

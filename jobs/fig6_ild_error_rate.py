@@ -15,7 +15,7 @@ import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ild
-from repro.experiments import aggregate_over_seeds, format_table, sweep_injected
+from repro.experiments import format_table, sweep_cases
 from repro.jobrun import default_spark
 
 METHODS = [
@@ -31,24 +31,19 @@ METHODS = [
     "CAE-M",
 ]
 RATES = [0.025, 0.05, 0.10, 0.15, 0.20, 0.25]
+WINDOW = 10.0
 
 
-def run_fig6(
-    spark, *, n: int = 43_000, seeds: int = 10, window: float = 10.0
-) -> pd.DataFrame:
+def run_fig6(spark, *, n: int = 43_000, seeds: int = 10) -> pd.DataFrame:
     t, X = ild(n)
-    s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), window)
-    out = sweep_injected(
+    s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), WINDOW)
+    return sweep_cases(
         spark,
-        t,
-        X,
-        s,
+        [({}, t, X, s, "together")],
         methods=METHODS,
         rates=RATES,
         seeds=range(seeds),
-        pattern="together",
     )
-    return aggregate_over_seeds(out)
 
 
 def main() -> None:

@@ -13,38 +13,23 @@ import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ild
-from repro.experiments import aggregate_over_seeds, sweep_injected, format_table
+from repro.experiments import format_table, sweep_cases
 from repro.jobrun import default_spark
 
 METHODS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA", "HoloClean", "TranAD", "CAE-M"]
+RATE = 0.05
+WINDOW = 10.0
 
 
 def run_fig7(
-    spark,
-    *,
-    sizes=(5_000, 10_000, 20_000, 40_000),
-    seeds: int = 5,
-    rate: float = 0.05,
-    window: float = 10.0,
+    spark, *, sizes=(5_000, 10_000, 20_000, 40_000), seeds: int = 5
 ) -> pd.DataFrame:
-    frames = []
+    cases = []
     for n in sizes:
         t, X = ild(n)
-        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), window)
-        out = sweep_injected(
-            spark,
-            t,
-            X,
-            s,
-            methods=METHODS,
-            rates=[rate],
-            seeds=range(seeds),
-            pattern="together",
-        )
-        agg = aggregate_over_seeds(out)
-        agg.insert(0, "size", n)
-        frames.append(agg)
-    return pd.concat(frames, ignore_index=True)
+        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), WINDOW)
+        cases.append(({"size": n}, t, X, s, "together"))
+    return sweep_cases(spark, cases, methods=METHODS, rates=[RATE], seeds=range(seeds))
 
 
 def main() -> None:

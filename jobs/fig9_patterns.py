@@ -14,38 +14,22 @@ import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ecg, tao
-from repro.experiments import aggregate_over_seeds, format_table, sweep_injected
+from repro.experiments import format_table, sweep_cases
 from repro.jobrun import default_spark
 
 METHODS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA"]
 RATES = [0.05, 0.10, 0.20]
+WINDOW = 10.0
+ECG_DIMS = 8
 
 
-def run_fig9(
-    spark, *, n: int = 20_000, seeds: int = 5, window: float = 10.0, ecg_dims: int = 8
-) -> pd.DataFrame:
-    frames = []
-    for name, (t, X) in {
-        "tao": tao(n),
-        "ecg": ecg(n, ecg_dims),
-    }.items():
-        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), window)
+def run_fig9(spark, *, n: int = 20_000, seeds: int = 5) -> pd.DataFrame:
+    cases = []
+    for name, (t, X) in {"tao": tao(n), "ecg": ecg(n, ECG_DIMS)}.items():
+        s = SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), WINDOW)
         for pattern in ("separate", "together"):
-            out = sweep_injected(
-                spark,
-                t,
-                X,
-                s,
-                methods=METHODS,
-                rates=RATES,
-                seeds=range(seeds),
-                pattern=pattern,
-            )
-            agg = aggregate_over_seeds(out)
-            agg.insert(0, "pattern", pattern)
-            agg.insert(0, "dataset", name)
-            frames.append(agg)
-    return pd.concat(frames, ignore_index=True)
+            cases.append(({"dataset": name, "pattern": pattern}, t, X, s, pattern))
+    return sweep_cases(spark, cases, methods=METHODS, rates=RATES, seeds=range(seeds))
 
 
 def main() -> None:

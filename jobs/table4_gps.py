@@ -18,7 +18,7 @@ from repro.datasets import gps_walk, true_speed
 from repro.experiments import format_table, sweep_embedded
 from repro.jobrun import default_spark
 from repro.methods import TABLE4_ORDER
-from repro.metrics import evaluate
+from repro.metrics import rmse
 
 #: Table 4 of the paper (RMSE / repair distance / repair number).
 PAPER_TABLE4 = {
@@ -44,27 +44,11 @@ def run_table4(spark, *, n: int = 11_000, window: float = 45.0) -> pd.DataFrame:
     t, dirty, truth, mask = gps_walk(n)
     s = SpeedConstraint(true_speed("gps_walk"), window)
     out = sweep_embedded(spark, t, dirty, truth, s, methods=TABLE4_ORDER)
-    dirty_row = evaluate(dirty, dirty, truth)
-    rows = [
-        {
-            "method": "Dirty",
-            "rmse": dirty_row["rmse"],
-            "repair_distance": 0.0,
-            "repair_number": 0.0,
-            "seconds": 0.0,
-        }
-    ]
-    for _, r in out.iterrows():
-        rows.append(
-            {
-                "method": r["method"],
-                "rmse": r["rmse"],
-                "repair_distance": r["repair_distance"],
-                "repair_number": r["repair_number"],
-                "seconds": r["seconds"],
-            }
-        )
-    df = pd.DataFrame(rows)
+    cols = ["method", "rmse", "repair_distance", "repair_number", "seconds"]
+    dirty_row = ["Dirty", rmse(dirty, truth), 0.0, 0.0, 0.0]
+    df = pd.concat(
+        [pd.DataFrame([dirty_row], columns=cols), out[cols]], ignore_index=True
+    )
     df["paper_rmse"] = df["method"].map(
         {k: v[0] for k, v in PAPER_TABLE4.items()}
     )

@@ -7,8 +7,8 @@ Long-format frame convention used across jobs and tests:
 Two parallelism regimes, each one cleaning stage of
 ``sparkContext.defaultParallelism`` partitions:
 
-1. :func:`clean_per_series` — many independent series (UCR/UEA archives,
-   multi-seed sweeps): ``groupBy(series_id).applyInPandas`` runs a
+1. :func:`clean_per_series` — many independent series (the UCR/UEA
+   archives of Figure 16): ``groupBy(series_id).applyInPandas`` runs a
    cleaning kernel once per series.
 
 2. :func:`clean_chunked` — one long series: split into row chunks, give

@@ -33,6 +33,12 @@ from .spark_clean import INPUT_FIELDS
 from .speed import SpeedConstraint, as_series
 
 INPUT_SCHEMA = StructType(INPUT_FIELDS)
+#: The series id :func:`write_stream_files` writes.
+SERIES_ID = "s0"
+#: Files read per micro-batch by :func:`run_file_stream`.
+MAX_FILES_PER_TRIGGER = 1
+#: Seconds :func:`run_file_stream` waits for the source to drain.
+TIMEOUT_S = 120.0
 
 
 class StreamingCleaner:
@@ -47,12 +53,19 @@ class StreamingCleaner:
         self.results: list[tuple[str, float, list[float]]] = []
 
     def process_batch(self, pdf: pd.DataFrame) -> None:
-        """Feed one micro-batch (any subset of rows, per-series ordered)."""
+        """Feed one micro-batch (any subset of rows, per-series ordered).
+
+        Each series' rows, sorted by ``t``, pass the input contract
+        (:func:`~repro.core.speed.as_series`) before they are pushed.
+        """
         for sid, grp in pdf.groupby("series_id"):
-            cleaner = self._state.setdefault(sid, self._cls(self.s))
             grp = grp.sort_values("t")
-            for t, v in zip(grp["t"], grp["v"]):
-                cleaner.push(float(t), np.asarray(v, float))
+            t, X = as_series(grp["t"].to_numpy(), grp["v"].tolist())
+            if sid not in self._state:
+                self._state[sid] = self._cls(self.s)
+            cleaner = self._state[sid]
+            for tk, x in zip(t, X):
+                cleaner.push(tk, x)
             self._drain(sid, cleaner)
 
     def finish(self) -> pd.DataFrame:
@@ -73,7 +86,6 @@ def write_stream_files(
     X: np.ndarray,
     directory: str | Path,
     *,
-    series_id: str = "s0",
     batch_rows: int = 100,
 ) -> int:
     """Materialize a series as JSON micro-batch files for the file source.
@@ -89,7 +101,7 @@ def write_stream_files(
     for start in range(0, n, batch_rows):
         rows = [
             {
-                "series_id": series_id,
+                "series_id": SERIES_ID,
                 "t": float(t[i]),
                 "v": [float(x) for x in X[i]],
             }
@@ -114,8 +126,6 @@ def run_file_stream(
     s: SpeedConstraint,
     *,
     variant: str = "MTCSC-L",
-    max_files_per_trigger: int = 1,
-    timeout_s: float = 120.0,
 ) -> pd.DataFrame:
     """Run the Structured Streaming cleaning job until the source drains.
 
@@ -125,7 +135,7 @@ def run_file_stream(
     state = StreamingCleaner(s, variant=variant)
     stream = (
         spark.readStream.schema(INPUT_SCHEMA)
-        .option("maxFilesPerTrigger", max_files_per_trigger)
+        .option("maxFilesPerTrigger", MAX_FILES_PER_TRIGGER)
         .json(str(directory))
     )
 
@@ -137,7 +147,7 @@ def run_file_stream(
     query = stream.writeStream.foreachBatch(on_batch).trigger(
         availableNow=True
     ).start()
-    if not query.awaitTermination(timeout_s):
+    if not query.awaitTermination(TIMEOUT_S):
         query.stop()
         raise TimeoutError("streaming query did not drain in time")
     return state.finish()

@@ -1,8 +1,9 @@
 """Experiment harnesses behind every reproduced table/figure.
 
-The sweep engine distributes the experiment grid (method x error rate x
-seed, or method alone for one embedded-error series) as plain Spark
-tasks: the series is broadcast once, every grid cell is one task that
+The sweep engine distributes a figure's whole experiment grid (case x
+method x error rate x seed, where a case is one labelled series, or
+method alone for one embedded-error series) as plain Spark tasks of one
+job: the cases are broadcast once, every grid cell is one task that
 injects its errors (or takes the given dirty series), cleans and
 evaluates, and the metric rows are collected in cell order.  This is
 where the reproduction leans on Spark for the paper's multi-seed,
@@ -26,6 +27,10 @@ from repro.metrics import evaluate
 METRIC_COLUMNS = [
     "rmse", "repair_distance", "repair_number", "repair_fraction", "seconds"
 ]
+#: Float cell format of :func:`format_table`.
+FLOAT_FMT = "{:.4f}"
+#: One series of a figure: ``(labels, t, X, s, pattern)``, see :func:`sweep_cases`.
+Case = tuple[dict, np.ndarray, np.ndarray, SpeedConstraint, str]
 
 
 def _run_cell(
@@ -59,29 +64,47 @@ def _run_cell(
 
 def _sweep(
     spark: SparkSession,
-    t: np.ndarray,
-    truth: np.ndarray,
-    dirty: np.ndarray | None,
-    s: SpeedConstraint,
-    cells: list[tuple[str, float, int]],
-    pattern: str,
+    cases: list[tuple],
+    cells: list[tuple[int, str, float, int]],
 ) -> pd.DataFrame:
-    """One Spark task per ``(method, rate, seed)`` cell; rows in cell order.
+    """One Spark task per ``(case, method, rate, seed)`` cell; rows in cell order.
 
-    With ``dirty=None`` each task injects its cell's errors into ``truth``;
-    otherwise every cell cleans the given ``dirty`` series.
+    A case is ``(labels, t, truth, dirty, s, pattern)``.  With
+    ``dirty=None`` each task injects its cell's errors into ``truth``;
+    otherwise every cell of the case cleans the given ``dirty`` series.
+    Each row starts with its case's ``labels`` columns.
     """
-    b = spark.sparkContext.broadcast((t, truth, dirty))
+    b = spark.sparkContext.broadcast(cases)
 
-    def run(cell: tuple[str, float, int]) -> dict:
-        method, rate, seed = cell
-        tt, tr, dd = b.value
-        if dd is None:
-            dd, _ = inject_errors(tr, rate, pattern=pattern, seed=seed)
-        return _run_cell(method, tt, dd, tr, s, rate, seed)
+    def run(cell: tuple[int, str, float, int]) -> dict:
+        case, method, rate, seed = cell
+        labels, t, truth, dirty, s, pattern = b.value[case]
+        if dirty is None:
+            dirty, _ = inject_errors(truth, rate, pattern=pattern, seed=seed)
+        return {**labels, **_run_cell(method, t, dirty, truth, s, rate, seed)}
 
     rows = spark.sparkContext.parallelize(cells, len(cells)).map(run).collect()
     return pd.DataFrame(rows)
+
+
+def _injected(
+    spark: SparkSession,
+    cases: Sequence[Case],
+    methods: Sequence[str],
+    rates: Sequence[float],
+    seeds: Sequence[int],
+) -> pd.DataFrame:
+    """Every ``(method, rate, seed)`` cell of every ``(labels, t, X, s,
+    pattern)`` case as one sweep; cases in order, cells sorted within."""
+    grid = sorted(
+        (m, float(r), int(sd)) for m in methods for r in rates for sd in seeds
+    )
+    cases = [
+        (labels, *as_series(t, X), None, s, pattern)
+        for labels, t, X, s, pattern in cases
+    ]
+    cells = [(i, *g) for i in range(len(cases)) for g in grid]
+    return _sweep(spark, cases, cells)
 
 
 def sweep_injected(
@@ -101,10 +124,27 @@ def sweep_injected(
     its cell's errors, cleans, and emits one metrics row.  Returns the
     collected result table as pandas, sorted by (method, rate, seed).
     """
-    t, truth = as_series(t, truth)
-    cells = [(m, float(r), int(sd)) for m in methods for r in rates for sd in seeds]
-    out = _sweep(spark, t, truth, None, s, cells, pattern)
-    return out.sort_values(["method", "rate", "seed"]).reset_index(drop=True)
+    return _injected(spark, [({}, t, truth, s, pattern)], methods, rates, seeds)
+
+
+def sweep_cases(
+    spark: SparkSession,
+    cases: Sequence[Case],
+    *,
+    methods: Sequence[str],
+    rates: Sequence[float],
+    seeds: Sequence[int],
+) -> pd.DataFrame:
+    """One figure's injected-error grid as one Spark job, averaged over seeds.
+
+    Each case is ``(labels, t, X, s, pattern)``: a clean series, its speed
+    constraint and error pattern, and the label columns (a dict, e.g.
+    ``{"size": n}``) that name it in the table.  Every ``(method, rate,
+    seed)`` cell of every case runs as in :func:`sweep_injected`.  Returns
+    one row per case, method and rate: the case's label columns first,
+    cases in the given order, ``(method, rate)`` sorted within a case.
+    """
+    return aggregate_over_seeds(_injected(spark, cases, methods, rates, seeds))
 
 
 def sweep_embedded(
@@ -123,34 +163,40 @@ def sweep_embedded(
     """
     t, dirty = as_series(t, dirty)
     truth = as_series(t, truth)[1]
-    return _sweep(spark, t, truth, dirty, s, [(m, 0.0, 0) for m in methods], "")
+    case = ({}, t, truth, dirty, s, "")
+    return _sweep(spark, [case], [(0, m, 0.0, 0) for m in methods])
 
 
 def aggregate_over_seeds(df: pd.DataFrame) -> pd.DataFrame:
-    """Average metrics over seeds, keeping (method, rate) rows."""
+    """Average metrics over seeds, skipped cells dropped.
+
+    One row per group of the remaining columns (a case's labels, method
+    and rate), in order of first appearance.
+    """
+    keys = [c for c in df.columns if c not in {*METRIC_COLUMNS, "seed", "n", "skipped"}]
     return (
         df[df["skipped"] == ""]
-        .groupby(["method", "rate"], as_index=False)[METRIC_COLUMNS]
+        .groupby(keys, as_index=False, sort=False)[METRIC_COLUMNS]
         .mean()
     )
 
 
-def format_table(df: pd.DataFrame, *, floatfmt: str = "{:.4f}") -> str:
+def format_table(df: pd.DataFrame) -> str:
     """Render a metrics frame as a fixed-width text table for job output."""
     cols = list(df.columns)
     widths = {
-        c: max(len(str(c)), *(len(_fmt(v, floatfmt)) for v in df[c]))
+        c: max(len(str(c)), *(len(_fmt(v)) for v in df[c]))
         for c in cols
     }
     lines = ["  ".join(str(c).ljust(widths[c]) for c in cols)]
     for _, row in df.iterrows():
         lines.append(
-            "  ".join(_fmt(row[c], floatfmt).ljust(widths[c]) for c in cols)
+            "  ".join(_fmt(row[c]).ljust(widths[c]) for c in cols)
         )
     return "\n".join(lines)
 
 
-def _fmt(v, floatfmt: str) -> str:
+def _fmt(v) -> str:
     if isinstance(v, float):
-        return floatfmt.format(v) if np.isfinite(v) else "-"
+        return FLOAT_FMT.format(v) if np.isfinite(v) else "-"
     return str(v)

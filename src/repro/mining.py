@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The K values :func:`knn_classify` searches.
+K_GRID = (1, 3, 5, 7)
+#: Lloyd iterations per restart and restarts of :func:`kmeans`.
+N_ITER = 100
+N_INIT = 5
+
 
 def _flatten(X: np.ndarray) -> np.ndarray:
     """(n_series, length, D) -> (n_series, length*D)."""
@@ -67,15 +73,13 @@ def knn_classify(
     train_y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
-    *,
-    k_grid: tuple[int, ...] = (1, 3, 5, 7),
 ) -> tuple[float, int]:
     """Grid-search K on test F1 (the paper 'selects the best K').
 
     Returns ``(best_f1, best_k)``.
     """
-    best_f1, best_k = -1.0, k_grid[0]
-    for k in k_grid:
+    best_f1, best_k = -1.0, K_GRID[0]
+    for k in K_GRID:
         if k > len(train_X):
             continue
         f1 = macro_f1(test_y, knn_predict(train_X, train_y, test_X, k))
@@ -84,13 +88,11 @@ def knn_classify(
     return best_f1, best_k
 
 
-def kmeans(
-    X: np.ndarray, k: int, *, n_iter: int = 100, seed: int = 0, n_init: int = 5
-) -> np.ndarray:
-    """Lloyd's algorithm, k-means++ init, best of ``n_init`` restarts."""
+def kmeans(X: np.ndarray, k: int, *, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm, k-means++ init, best of ``N_INIT`` restarts."""
     A = _flatten(X)
     best_assign, best_inertia = None, np.inf
-    for restart in range(n_init):
+    for restart in range(N_INIT):
         g = np.random.default_rng(seed * 1000 + restart)
         centers = [A[g.integers(len(A))]]
         while len(centers) < k:
@@ -99,7 +101,7 @@ def kmeans(
             centers.append(A[g.choice(len(A), p=p)])
         C = np.vstack(centers)
         assign = np.zeros(len(A), dtype=np.int64)
-        for _ in range(n_iter):
+        for _ in range(N_ITER):
             new_assign = np.argmin(_pairwise_dist(A, C), axis=1)
             if np.array_equal(new_assign, assign):
                 break

@@ -9,6 +9,7 @@ from repro.errors import inject_errors
 from repro.experiments import (
     aggregate_over_seeds,
     format_table,
+    sweep_cases,
     sweep_embedded,
     sweep_injected,
 )
@@ -133,6 +134,34 @@ def test_sweep_equals_serial_replay(spark, sweep):
             continue
         assert row["skipped"] == ""
         assert row[metrics].to_dict() == evaluate(Xr, dirty, truth)
+
+
+def test_sweep_cases_equals_per_case_sweeps(spark):
+    """The one-job figure grid equals, case by case, the seed average of
+    that case's own sweep with its labels inserted, exactly in every
+    column but the wall time; cases keep their order."""
+    methods, rates, seeds = ["MTCSC-C", "RCSWS"], [0.1, 0.05], [1, 0]
+    cases = []
+    for n, pattern in ((400, "separate"), (300, "together")):
+        t, X = ild(n)  # 3-D: RCSWS must skip
+        s = SpeedConstraint(0.5 + n / 1000, 10.0)
+        cases.append(({"size": n, "pattern": pattern}, t, X, s, pattern))
+    got = sweep_cases(spark, cases, methods=methods, rates=rates, seeds=seeds)
+    frames = []
+    for labels, t, X, s, pattern in cases:
+        agg = aggregate_over_seeds(sweep_injected(
+            spark, t, X, s, methods=methods, rates=rates, seeds=seeds,
+            pattern=pattern,
+        ))
+        for i, (k, v) in enumerate(labels.items()):
+            agg.insert(i, k, v)
+        frames.append(agg)
+    want = pd.concat(frames, ignore_index=True)
+    assert list(want.columns[:4]) == ["size", "pattern", "method", "rate"]
+    assert len(want) == len(cases) * len(rates)
+    pd.testing.assert_frame_equal(
+        got.drop(columns="seconds"), want.drop(columns="seconds"), check_exact=True
+    )
 
 
 class TestHelpers:

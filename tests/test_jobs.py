@@ -14,11 +14,19 @@ JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
 
 import fig5_stock  # noqa: E402
+import fig6_ild_error_rate  # noqa: E402
+import fig7_ild_size  # noqa: E402
+import fig9_patterns  # noqa: E402
 import fig13_dimension  # noqa: E402
 import fig14_adaptive  # noqa: E402
 import fig16_applications  # noqa: E402
 import table2_datasets  # noqa: E402
 import table4_gps  # noqa: E402
+
+
+def test_every_job_has_a_smoke_test():
+    """Every ``jobs/*.py`` module is imported (and so smoke-tested) here."""
+    assert {p.stem for p in JOBS.glob("*.py")} - set(globals()) == set()
 
 
 class TestTable2:
@@ -54,6 +62,55 @@ class TestFig5:
         l_t = df[df.method == "MTCSC-L"]["seconds"].mean()
         c_t = df[df.method == "MTCSC-C"]["seconds"].mean()
         assert l_t < c_t
+
+
+class TestFig6:
+    def test_reduced_run(self, spark, monkeypatch):
+        monkeypatch.setattr(fig6_ild_error_rate, "RATES", [0.10, 0.05])
+        df = fig6_ild_error_rate.run_fig6(spark, n=400, seeds=1)
+        assert list(df.columns[:2]) == ["method", "rate"]
+        methods = sorted(fig6_ild_error_rate.METHODS)
+        assert list(zip(df["method"], df["rate"])) == [
+            (m, r) for m in methods for r in (0.05, 0.10)
+        ]
+        assert np.isfinite(df["rmse"]).all()
+
+
+class TestFig7:
+    def test_sizes_in_order(self, spark):
+        df = fig7_ild_size.run_fig7(spark, sizes=(600, 300), seeds=1)
+        assert list(df.columns[:3]) == ["size", "method", "rate"]
+        assert list(df["size"].unique()) == [600, 300]
+        assert (df.groupby("size").size() == len(fig7_ild_size.METHODS)).all()
+        assert (df["rate"] == fig7_ild_size.RATE).all()
+
+
+class TestFig9:
+    @pytest.fixture(scope="class")
+    def run(self, spark):
+        """The table and the number of Spark jobs the call submitted."""
+        sc = spark.sparkContext
+        sc.setJobGroup("fig9", "fig9")
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fig9_patterns, "RATES", [0.10])
+                df = fig9_patterns.run_fig9(spark, n=300, seeds=1)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return df, len(sc.statusTracker().getJobIdsForGroup("fig9"))
+
+    def test_cases_in_order(self, run):
+        df, _ = run
+        assert list(df.columns[:4]) == ["dataset", "pattern", "method", "rate"]
+        cases = list(dict.fromkeys(zip(df["dataset"], df["pattern"])))
+        assert cases == [
+            ("tao", "separate"), ("tao", "together"),
+            ("ecg", "separate"), ("ecg", "together"),
+        ]
+        assert len(df) == 4 * len(fig9_patterns.METHODS)
+
+    def test_whole_grid_is_one_spark_job(self, run):
+        assert run[1] == 1
 
 
 class TestFig13:

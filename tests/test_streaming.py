@@ -64,6 +64,21 @@ class TestStreamingCleaner:
             want, _ = mtcsc_l(t, d, S)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "column, row", [("v", 3), ("t", 9)], ids=["nan-in-v", "inf-t"]
+    )
+    def test_non_finite_batch_raises(self, column, row):
+        """A micro-batch passes the cleaners' input contract: a NaN value
+        or an infinite timestamp raises instead of being pushed."""
+        t, dirty, _, _ = gps_walk(100, seed=5)
+        pdf = pd.DataFrame({"series_id": "s0", "t": t, "v": list(map(list, dirty))})
+        if column == "v":
+            pdf.at[row, "v"] = [np.nan, 0.0]
+        else:
+            pdf.at[row, "t"] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            StreamingCleaner(S).process_batch(pdf)
+
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError):
             StreamingCleaner(S, variant="global")
@@ -82,9 +97,7 @@ class TestFileStream:
         carried state reproduce the batch MTCSC-L repair exactly."""
         t, dirty, truth, mask = gps_walk(500, seed=10)
         write_stream_files(t, dirty, tmp_path / "in", batch_rows=120)
-        out = run_file_stream(
-            spark, tmp_path / "in", S, variant="MTCSC-L", max_files_per_trigger=1
-        )
+        out = run_file_stream(spark, tmp_path / "in", S, variant="MTCSC-L")
         want, _ = mtcsc_l(t, dirty, S)
         got = np.array(out["repaired"].tolist())
         assert len(got) == len(t)
