@@ -19,7 +19,7 @@ import pandas as pd
 
 from repro.core import SpeedConstraint
 from repro.datasets import gps_mixed
-from repro.experiments import format_table, sweep_embedded
+from repro.experiments import format_table, sweep_embedded_cases
 from repro.jobrun import default_spark
 from repro.metrics import rmse as rmse_fn
 
@@ -30,14 +30,12 @@ WINDOW = 45.0
 
 def run_fig14(spark, *, n: int = 8_000) -> pd.DataFrame:
     t, dirty, truth, mask, mode = gps_mixed(n)
-    frames = []
-    for label, s0 in INITIAL.items():
-        s = SpeedConstraint(s0, WINDOW)
-        out = sweep_embedded(spark, t, dirty, truth, s, methods=METHODS)
-        out = out[["method", "rmse", "repair_number"]].copy()
-        out.insert(0, "initial_speed", label)
-        frames.append(out)
-    df = pd.concat(frames, ignore_index=True)
+    cases = [
+        ({"initial_speed": label}, t, dirty, truth, SpeedConstraint(s0, WINDOW))
+        for label, s0 in INITIAL.items()
+    ]
+    out = sweep_embedded_cases(spark, cases, methods=METHODS)
+    df = out[["initial_speed", "method", "rmse", "repair_number"]].copy()
     df.loc[len(df)] = ["-", "Dirty", rmse_fn(dirty, truth), 0.0]
     return df
 

@@ -22,17 +22,23 @@ from .online import run
 from .speed import SpeedConstraint, as_cleaner, distance
 
 
+def bucket_edges(b: int, s: float) -> np.ndarray:
+    """Upper edges of the b-1 equal bins on [0, s]; above the last is overflow.
+
+    ``np.searchsorted(edges, speed)`` is the bucket of ``speed``.
+    """
+    if b < 2:
+        raise ValueError("need at least 2 buckets")
+    return np.linspace(0.0, s, b)[1:]
+
+
 def bucketize(speeds: np.ndarray, b: int, s: float) -> np.ndarray:
     """Histogram counts over b buckets: b-1 equal bins on [0, s] + (s, inf).
 
     Matches Example 4.1: s=2.2, b=6 gives bin edges 0, .44, .88, 1.32,
     1.76, 2.2, inf (5 equal bins of width s/(b-1) plus the overflow).
     """
-    if b < 2:
-        raise ValueError("need at least 2 buckets")
-    edges = np.linspace(0.0, s, b)  # b-1 interior bins
-    idx = np.clip(np.searchsorted(edges[1:], speeds, side="left"), 0, b - 1)
-    counts = np.bincount(idx, minlength=b)
+    counts = np.bincount(np.searchsorted(bucket_edges(b, s), speeds), minlength=b)
     return counts.astype(float)
 
 
@@ -53,7 +59,12 @@ def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
 
 
 class AdaptiveSpeed:
-    """Stateful Algorithm 5: feed consecutive speeds, get the current s."""
+    """Stateful Algorithm 5: feed consecutive speeds, get the current s.
+
+    The bucket counts of W1 and W2 are kept up to date as the window
+    slides; all 2m speeds are bucketed afresh only when ``s`` changes.
+    Counts are integers, so they equal :func:`bucketize` of each half.
+    """
 
     def __init__(
         self,
@@ -68,21 +79,43 @@ class AdaptiveSpeed:
         self.b, self.tau, self.m, self.beta = b, tau, m, beta
         # W1 is the older half of the window, W2 the newer half.
         self.window: deque[float] = deque(maxlen=2 * m)
+        self._edges = bucket_edges(b, self.s)
+        self._buckets: deque[int] = deque(maxlen=2 * m)  # of each speed at s
+        self._counts = [[0] * b, [0] * b]  # W1's and W2's
+        self._kl: float | None = None  # KL(W1 || W2) of the counts, if known
         self.n_updates = 0  # number of constraint changes (for tests/metrics)
 
     def observe(self, speed: float) -> float:
         """Push one observed speed, return the (possibly updated) constraint."""
-        if len(self.window) == self.window.maxlen:
-            w = np.array(self.window)
-            w1, w2 = w[: self.m], w[self.m :]
-            if kl_divergence(
-                bucketize(w1, self.b, self.s), bucketize(w2, self.b, self.s)
-            ) > self.tau:
-                self.s = float(np.quantile(w2, 0.95)) / self.beta
+        m, n = self.m, len(self.window)
+        if n == 2 * m:
+            if self._kl is None:
+                self._kl = kl_divergence(*self._counts)
+            if self._kl > self.tau:
+                w = np.array(self.window)
+                self.s = float(np.quantile(w[m:], 0.95)) / self.beta
                 self.n_updates += 1
-        # Once full, appending slides both halves: W1's oldest speed leaves
-        # and W2's oldest moves into W1.
+                self._edges = bucket_edges(self.b, self.s)
+                idx = np.searchsorted(self._edges, w)
+                self._buckets.extend(idx.tolist())
+                self._counts = [np.bincount(h, minlength=self.b).tolist()
+                                for h in (idx[:m], idx[m:])]
+                self._kl = None
+        k = int(np.searchsorted(self._edges, speed))
+        c1, c2 = self._counts
+        if n < 2 * m:
+            (c1 if n < m else c2)[k] += 1
+            self._kl = None
+        elif not self._buckets[0] == self._buckets[m] == k:
+            # Appending slides both halves: W1's oldest speed leaves and
+            # W2's oldest moves into W1.
+            c1[self._buckets[0]] -= 1
+            c2[self._buckets[m]] -= 1
+            c1[self._buckets[m]] += 1
+            c2[k] += 1
+            self._kl = None
         self.window.append(float(speed))
+        self._buckets.append(k)
         return self.s
 
 
@@ -121,7 +154,7 @@ class AdaptiveCleaner(ClusterCleaner):
             )
             if s_new != self.s.smax:
                 self.s = SpeedConstraint(s_new, self.s.window)
-        self._last_raw_t, self._last_raw_x = tk, xk
+        self._last_raw_t, self._last_raw_x = tk, xk.copy()  # xk is a buffer view
         return super().decide(ts, xs, hi)
 
     @property

@@ -15,7 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .online import OnlineCleaner, run
-from .speed import SpeedConstraint, as_cleaner, interpolate, satisfy, within_speed
+from .speed import (
+    SpeedConstraint,
+    as_cleaner,
+    interpolate,
+    pair_checks,
+    satisfy,
+    within_bound,
+)
 
 
 class LocalCleaner(OnlineCleaner):
@@ -26,9 +33,10 @@ class LocalCleaner(OnlineCleaner):
         tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
         if satisfy(tp, xp, tk, xk, self.s):
             return xk
-        for i in range(1, hi):
-            if within_speed(tp, xp, ts[i], xs[i], self.s):
-                return interpolate(tp, xp, ts[i], xs[i], tk)
+        ok = within_bound(*pair_checks(tp, xp, ts[1:hi], xs[1:hi]), self.s.smax)
+        if ok.any():
+            i = 1 + int(ok.argmax())
+            return interpolate(tp, xp, ts[i], xs[i], tk)
         return xp.copy()
 
 

@@ -15,6 +15,7 @@ input passes :func:`as_series` and its ``changed`` mask is :func:`moved`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,29 @@ class SpeedConstraint:
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two points (Definition 2.2)."""
-    return float(np.sqrt(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
+    d = np.asarray(a, float) - np.asarray(b, float)
+    return math.sqrt((d * d).sum())
+
+
+def distances(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``distance(W[j], x)`` for every row ``j`` of ``W``, bit for bit.
+
+    Each row is summed in the same order as the 1-D sum of
+    :func:`distance`, so a vectorised check decides exactly as the scalar one.
+    """
+    d = W - x
+    return np.sqrt((d * d).sum(axis=1))
+
+
+def pair_checks(
+    t: float, x: np.ndarray, T: np.ndarray, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and time gaps of ``(t, x)`` to every point ``(T[j], W[j])``.
+
+    ``within_bound(d, dt, s.smax)`` of the result is
+    :func:`within_speed` of each pair, bit for bit.
+    """
+    return distances(W, x), np.abs(t - T)
 
 
 def as_series(t, X) -> tuple[np.ndarray, np.ndarray]:

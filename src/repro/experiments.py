@@ -31,6 +31,9 @@ METRIC_COLUMNS = [
 FLOAT_FMT = "{:.4f}"
 #: One series of a figure: ``(labels, t, X, s, pattern)``, see :func:`sweep_cases`.
 Case = tuple[dict, np.ndarray, np.ndarray, SpeedConstraint, str]
+#: One fixed dirty series of a figure: ``(labels, t, dirty, truth, s)``, see
+#: :func:`sweep_embedded_cases`.
+EmbeddedCase = tuple[dict, np.ndarray, np.ndarray, np.ndarray, SpeedConstraint]
 
 
 def _run_cell(
@@ -147,6 +150,27 @@ def sweep_cases(
     return aggregate_over_seeds(_injected(spark, cases, methods, rates, seeds))
 
 
+def sweep_embedded_cases(
+    spark: SparkSession,
+    cases: Sequence[EmbeddedCase],
+    *,
+    methods: Sequence[str],
+) -> pd.DataFrame:
+    """Many methods on each of several fixed dirty series, as one Spark job
+    (the Table 4 protocol: embedded, labeled real-style errors).
+
+    Each case is ``(labels, t, dirty, truth, s)``.  Rows start with the
+    case's label columns; cases come in the given order and, within a
+    case, rows follow the order of ``methods``.
+    """
+    series = []
+    for labels, t, dirty, truth, s in cases:
+        t, dirty = as_series(t, dirty)
+        series.append((labels, t, as_series(t, truth)[1], dirty, s, ""))
+    cells = [(i, m, 0.0, 0) for i in range(len(series)) for m in methods]
+    return _sweep(spark, series, cells)
+
+
 def sweep_embedded(
     spark: SparkSession,
     t: np.ndarray,
@@ -156,15 +180,11 @@ def sweep_embedded(
     *,
     methods: Sequence[str],
 ) -> pd.DataFrame:
-    """Distributed run of many methods on one fixed dirty series
-    (the Table 4 protocol: embedded, labeled real-style errors).
+    """:func:`sweep_embedded_cases` of one unlabelled series.
 
     Rows follow the order of ``methods``.
     """
-    t, dirty = as_series(t, dirty)
-    truth = as_series(t, truth)[1]
-    case = ({}, t, truth, dirty, s, "")
-    return _sweep(spark, [case], [(0, m, 0.0, 0) for m in methods])
+    return sweep_embedded_cases(spark, [({}, t, dirty, truth, s)], methods=methods)
 
 
 def aggregate_over_seeds(df: pd.DataFrame) -> pd.DataFrame:

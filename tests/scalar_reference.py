@@ -1,0 +1,169 @@
+"""Scalar reference for MTCSC-C, MTCSC-A and MTCSC-Uni.
+
+The cleaners before the pair checks moved into a band: a list window
+buffer searched with ``bisect``, every pair check of Algorithm 3 made one
+scalar distance at a time for every key point, and MTCSC-A's speed
+monitor re-bucketing all 2m speeds for every new one.  Tests hold the
+banded cleaners in ``repro.core`` to these bit for bit.
+"""
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections import deque
+
+import numpy as np
+
+from repro.core.mtcsc_a import bucketize, kl_divergence
+from repro.core.mtcsc_c import largest_cluster_head
+from repro.core.speed import SpeedConstraint, as_cleaner, interpolate, within_bound
+
+
+def within_speed(ti, xi, tj, xj, s: SpeedConstraint) -> bool:
+    d = float(np.sqrt(np.sum((np.asarray(xi, float) - np.asarray(xj, float)) ** 2)))
+    return within_bound(d, abs(float(tj) - float(ti)), s.smax)
+
+
+def satisfy(ti, xi, tj, xj, s: SpeedConstraint) -> bool:
+    return abs(float(tj) - float(ti)) > s.window or within_speed(ti, xi, tj, xj, s)
+
+
+def build_cluster(tp, xp, tw, Xw, s: SpeedConstraint) -> list[list[int]]:
+    """Algorithm 3 with one scalar pair check at a time."""
+    m = len(tw)
+    clusters: dict[int, list[int]] = {}
+    head: list[int | None] = [None] * m
+    ell = next((i for i in range(m) if within_speed(tp, xp, tw[i], Xw[i], s)), None)
+    if ell is None:
+        return []
+    head[ell] = ell
+    clusters[ell] = [ell]
+    for i in range(ell + 1, m):
+        for j in range(i - 1, ell - 1, -1):
+            if within_speed(tw[j], Xw[j], tw[i], Xw[i], s):
+                if head[j] is not None:
+                    head[i] = head[j]
+                    clusters[head[j]].append(i)
+                break
+            if j == ell or head[j] not in (None, j):
+                if within_speed(tp, xp, tw[i], Xw[i], s):
+                    head[i] = i
+                    clusters[i] = [i]
+                break
+    return list(clusters.values())
+
+
+class AdaptiveSpeed:
+    """Algorithm 5, bucketing both halves afresh for every speed."""
+
+    def __init__(self, s0, *, b=6, tau=0.75, m=150, beta=0.75):
+        self.s = float(s0)
+        self.b, self.tau, self.m, self.beta = b, tau, m, beta
+        self.window: deque[float] = deque(maxlen=2 * m)
+        self.n_updates = 0
+
+    def observe(self, speed: float) -> float:
+        if len(self.window) == self.window.maxlen:
+            w = np.array(self.window)
+            w1, w2 = w[: self.m], w[self.m :]
+            if kl_divergence(
+                bucketize(w1, self.b, self.s), bucketize(w2, self.b, self.s)
+            ) > self.tau:
+                self.s = float(np.quantile(w2, 0.95)) / self.beta
+                self.n_updates += 1
+        self.window.append(float(speed))
+        return self.s
+
+
+class ClusterCleaner:
+    """MTCSC-C (Algorithm 4) over a list buffer."""
+
+    RESETS_STALE_ANCHOR = False
+
+    def __init__(self, s: SpeedConstraint):
+        self.s = s
+        self._tbuf: list[float] = []
+        self._xbuf: list[np.ndarray] = []
+        self._prev_t = self._prev_x = self._last_accept_t = None
+        self._out: list[tuple[float, np.ndarray]] = []
+
+    def decide(self, ts, xs, hi):
+        s = self.s
+        tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
+        if self._last_accept_t is None:
+            self._last_accept_t = tp
+        head = largest_cluster_head(build_cluster(tp, xp, ts[1:hi], xs[1:hi], s))
+        if head is not None:
+            self._last_accept_t = tk
+            ti, xi = ts[1 + head], xs[1 + head]
+            if satisfy(tp, xp, tk, xk, s) and within_speed(tk, xk, ti, xi, s):
+                return xk
+            return interpolate(tp, xp, ti, xi, tk)
+        if satisfy(tp, xp, tk, xk, s) or (
+            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window
+        ):
+            self._last_accept_t = tk
+            return xk
+        return xp.copy()
+
+    def _emit_first_buffered(self):
+        ts, xs = self._tbuf, self._xbuf
+        if self._prev_x is None:
+            xr = xs[0]
+        else:
+            xr = self.decide(ts, xs, bisect_right(ts, ts[0] + self.s.window))
+        tk = ts.pop(0)
+        xs.pop(0)
+        self._out.append((tk, xr))
+        self._prev_t, self._prev_x = tk, xr
+
+    def push(self, t, x):
+        self._tbuf.append(float(t))
+        self._xbuf.append(np.asarray(x, float))
+        while self._tbuf and t > self._tbuf[0] + self.s.window:
+            self._emit_first_buffered()
+
+    def flush(self):
+        while self._tbuf:
+            self._emit_first_buffered()
+
+    def run(self, t, X) -> np.ndarray:
+        for i in range(len(t)):
+            self.push(t[i], X[i])
+        self.flush()
+        return np.vstack([x for _, x in self._out])
+
+
+class AdaptiveCleaner(ClusterCleaner):
+    """MTCSC-A: MTCSC-C under the speed monitor of :class:`AdaptiveSpeed`."""
+
+    RESETS_STALE_ANCHOR = True
+
+    def __init__(self, s: SpeedConstraint, **kw):
+        super().__init__(s)
+        self.adaptive = AdaptiveSpeed(s.smax, **kw)
+        self._last_raw_t = self._last_raw_x = None
+
+    def decide(self, ts, xs, hi):
+        tk, xk = ts[0], xs[0]
+        if self._last_raw_t is not None:
+            d = float(np.sqrt(np.sum((xk - self._last_raw_x) ** 2)))
+            s_new = self.adaptive.observe(d / (tk - self._last_raw_t))
+            if s_new != self.s.smax:
+                self.s = SpeedConstraint(s_new, self.s.window)
+        self._last_raw_t, self._last_raw_x = tk, xk
+        return super().decide(ts, xs, hi)
+
+
+@as_cleaner
+def mtcsc_c(t, X, s):
+    return ClusterCleaner(s).run(t, X)
+
+
+@as_cleaner
+def mtcsc_a(t, X, s, **kw):
+    return AdaptiveCleaner(s, **kw).run(t, X)
+
+
+@as_cleaner
+def mtcsc_uni(t, X, s):
+    return np.column_stack([ClusterCleaner(s).run(t, x[:, None]) for x in X.T])

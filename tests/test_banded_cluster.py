@@ -1,0 +1,166 @@
+"""The banded MTCSC-C/A/Uni equal the scalar reference bit for bit.
+
+Each pair check between window points is made once, when the later point
+arrives, and kept in a band; MTCSC-A re-thresholds the band when its
+speed monitor moves the constraint.  The reference in
+``tests/scalar_reference.py`` makes every check one scalar distance at a
+time, for every key point.
+"""
+import numpy as np
+import pandas as pd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    AdaptiveCleaner,
+    AdaptiveSpeed,
+    ClusterCleaner,
+    LocalCleaner,
+    SpeedConstraint,
+    build_cluster,
+    estimate_speed,
+    mtcsc_a,
+    mtcsc_c,
+    mtcsc_uni,
+    speed,
+)
+from repro.core.streaming import StreamingCleaner
+from repro.datasets import ecg, gps_mixed, gps_walk, ild
+from repro.errors import inject_errors
+
+from . import scalar_reference as ref
+
+GPS = SpeedConstraint(1.6, 45.0)
+
+
+def _gps_walk():
+    t, dirty, _, _ = gps_walk(900, seed=901)
+    return t, dirty, GPS
+
+
+def _gps_mixed():
+    t, dirty, _, _, _ = gps_mixed(1500, seed=5)
+    return t, dirty, GPS
+
+
+def _injected(t, X, seed):
+    dirty, _ = inject_errors(X, 0.10, seed=seed)
+    return t, dirty, SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), 10.0)
+
+
+def _ild():
+    return _injected(*ild(800, seed=1), seed=3)
+
+
+def _ecg():
+    return _injected(*ecg(400, 32, seed=3), seed=4)
+
+
+DATASETS = {"gps-walk": _gps_walk, "gps-mixed": _gps_mixed, "ild": _ild, "ecg-d32": _ecg}
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", list(DATASETS))
+@pytest.mark.parametrize(
+    "fn, ref_fn",
+    [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)],
+    ids=["MTCSC-C", "MTCSC-A", "MTCSC-Uni"],
+)
+def test_cleaner_equals_scalar_reference(data, fn, ref_fn):
+    t, X, s = DATASETS[data]()
+    for got, want in zip(fn(t, X, s), ref_fn(t, X, s)):
+        assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize("data", list(DATASETS))
+def test_adaptive_state_equals_scalar_reference(data):
+    """With a short monitor window the constraint moves; the band is
+    re-thresholded on every move, so repairs and state still match."""
+    t, X, s = DATASETS[data]()
+    got, want = AdaptiveCleaner(s, m=100), ref.AdaptiveCleaner(s, m=100)
+    for i in range(len(t)):
+        got.push(t[i], X[i])
+    got.flush()
+    assert_bits_equal(np.vstack([x for _, x in got.drain()]), want.run(t, X))
+    assert got.n_speed_updates == want.adaptive.n_updates
+    assert got.current_speed == want.adaptive.s
+    if data in ("gps-mixed", "ecg-d32"):
+        assert got.n_speed_updates >= 1
+
+
+@pytest.mark.parametrize("variant", ["MTCSC-C", "MTCSC-A"])
+@pytest.mark.parametrize("rows", [5, 37])
+def test_stream_batches_split_windows(variant, rows):
+    """Micro-batches far shorter than a window (~46 points): band rows
+    made in one batch are read by key points decided in later ones."""
+    t, X, s = _gps_mixed()
+    cleaner = StreamingCleaner(s, variant=variant)
+    pdf = pd.DataFrame({"series_id": "s0", "t": t, "v": list(map(list, X))})
+    for lo in range(0, len(pdf), rows):
+        cleaner.process_batch(pdf.iloc[lo : lo + rows])
+    got = np.array(cleaner.finish()["repaired"].tolist())
+    want = (ref.mtcsc_c if variant == "MTCSC-C" else ref.mtcsc_a)(t, X, s)[0]
+    assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize("cls", [LocalCleaner, ClusterCleaner, AdaptiveCleaner])
+def test_emitted_repairs_survive_buffer_reuse(cls):
+    """A kept point leaves the window buffer as a copy: drained repairs do
+    not change while later points move and overwrite the buffer slots."""
+    t, X, s = _gps_walk()
+    cleaner, seen = cls(s), []
+    for i in range(len(t)):
+        cleaner.push(t[i], X[i])
+        seen += [(x, x.copy()) for _, x in cleaner.drain()]
+    assert len(seen) > len(t) // 2
+    for x, at_drain in seen:
+        assert_bits_equal(x, at_drain)
+
+
+def test_speed_monitor_equals_scalar_reference():
+    """Counts slid per speed equal both halves bucketed afresh."""
+    g = np.random.default_rng(0)
+    speeds = np.concatenate([g.random(400) * 1.5, 3 + g.random(400) * 2, g.random(400)])
+    got = AdaptiveSpeed(1.6, m=60, tau=0.3)
+    want = ref.AdaptiveSpeed(1.6, m=60, tau=0.3)
+    for v in speeds:
+        assert got.observe(v) == want.observe(v)
+    assert got.n_updates == want.n_updates >= 2
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 30),
+    st.integers(1, 6),
+    st.floats(0.3, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_cluster_equals_scalar_reference(seed, m, d, smax):
+    g = np.random.default_rng(seed)
+    tw = np.cumsum(g.random(m) + 0.1) + 1.0
+    Xw = np.cumsum(g.normal(0, 1, (m, d)), axis=0)
+    Xw[g.random(m) < 0.2] += g.normal(0, 8, d)
+    s = SpeedConstraint(smax, 10.0)
+    xp = g.normal(0, 1, d)
+    assert build_cluster(0.0, xp, tw, Xw, s) == ref.build_cluster(0.0, xp, tw, Xw, s)
+
+
+def test_pair_checks_linear_in_n(monkeypatch):
+    """Pair checks are made once per pair, not once per key point: the
+    scalar path made ~141.8k distance calls on this input."""
+    calls = []
+    distance = speed.distance
+
+    def counted(a, b):
+        calls.append(1)
+        return distance(a, b)
+
+    monkeypatch.setattr(speed, "distance", counted)
+    t, X, _, _ = gps_walk(3000, seed=901)
+    mtcsc_c(t, X, GPS)
+    assert len(calls) <= 4 * len(t)

@@ -124,16 +124,30 @@ class TestFig13:
 
 
 class TestFig14:
-    def test_adaptive_beats_fixed_from_walk_init(self, spark):
-        df = fig14_adaptive.run_fig14(spark, n=2400)
+    @pytest.fixture(scope="class")
+    def run(self, spark):
+        """The table and the number of Spark jobs the call submitted."""
+        sc = spark.sparkContext
+        sc.setJobGroup("fig14", "fig14")
+        try:
+            df = fig14_adaptive.run_fig14(spark, n=2400)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return df, len(sc.statusTracker().getJobIdsForGroup("fig14"))
+
+    def test_adaptive_beats_fixed_from_walk_init(self, run):
+        df, _ = run
         walk = df[df.initial_speed == "walk(1.6)"]
         a = walk[walk.method == "MTCSC-A"].rmse.iloc[0]
         c = walk[walk.method == "MTCSC-C"].rmse.iloc[0]
         assert a < c
 
-    def test_all_initial_speeds_present(self, spark):
-        df = fig14_adaptive.run_fig14(spark, n=1500)
+    def test_all_initial_speeds_present(self, run):
+        df, _ = run
         assert set(df["initial_speed"]) >= set(fig14_adaptive.INITIAL)
+
+    def test_whole_grid_is_one_spark_job(self, run):
+        assert run[1] == 1
 
 
 class TestFig16:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.speed import (
     SpeedConstraint,
     distance,
+    distances,
     estimate_speed,
     interpolate,
     satisfy,
@@ -54,6 +55,14 @@ class TestDistance:
         g = np.random.default_rng(0)
         a, b = g.random(5), g.random(5)
         assert distance(a, b) == distance(b, a)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 32, 100])
+    def test_distances_are_distance_bit_for_bit(self, d):
+        """The vectorised rows sum in the scalar order, so band checks
+        decide exactly as scalar ones."""
+        g = np.random.default_rng(d)
+        W, x = g.normal(0, 10, (60, d)), g.normal(0, 10, d)
+        assert distances(W, x).tolist() == [distance(w, x) for w in W]
 
 
 class TestSatisfy:
