@@ -154,7 +154,7 @@ class AdaptiveCleaner(ClusterCleaner):
             )
             if s_new != self.s.smax:
                 self.s = SpeedConstraint(s_new, self.s.window)
-        self._last_raw_t, self._last_raw_x = tk, xk.copy()  # xk is a buffer view
+        self._last_raw_t, self._last_raw_x = tk, xk
         return super().decide(ts, xs, hi)
 
     @property

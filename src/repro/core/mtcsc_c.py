@@ -124,14 +124,13 @@ class ClusterCleaner(OnlineCleaner):
     def __init__(self, s: SpeedConstraint):
         super().__init__(s)
         self._last_accept_t: float | None = None
-        # One band row per buffered point, oldest first: its pair checks
-        # against the points buffered before it, newest first, as
+        # One band row per window point, oldest first: its pair checks
+        # against the window points before it, newest first, as
         # ``[ok, d, dt]`` with ``ok`` thresholded at ``_band_smax``.
         self._band: list[list] = []
         self._band_smax = s.smax
 
-    def admit(self):
-        ts, xs = self.buffered()
+    def admit(self, ts, xs):
         d, dt = pair_checks(ts[-1], xs[-1], ts[:-1][::-1], xs[:-1][::-1])
         self._band.append([within_bound(d, dt, self.s.smax).tolist(), d, dt])
 
@@ -168,7 +167,7 @@ class ClusterCleaner(OnlineCleaner):
         ):
             self._last_accept_t = tk
             return xk
-        return xp.copy()
+        return xp
 
 
 @as_cleaner

@@ -31,6 +31,7 @@ from .speed import (
     as_cleaner,
     as_series,
     interpolate,
+    pair_checks,
     satisfy,
     within_bound,
 )
@@ -61,9 +62,7 @@ def _chain_dp(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
         # In-window predecessors, vectorized.
         lo = old_ptr
         if lo < i:
-            dt = t[i] - t[lo:i]
-            d = np.sqrt(np.sum((X[lo:i] - X[i]) ** 2, axis=1))
-            ok = within_bound(d, dt, s.smax)
+            ok = within_bound(*pair_checks(t[i], X[i], t[lo:i], X[lo:i]), s.smax)
             if ok.any():
                 js = np.nonzero(ok)[0] + lo
                 j = js[np.argmax(dp[js])]

@@ -37,7 +37,7 @@ class LocalCleaner(OnlineCleaner):
         if ok.any():
             i = 1 + int(ok.argmax())
             return interpolate(tp, xp, ts[i], xs[i], tk)
-        return xp.copy()
+        return xp
 
 
 @as_cleaner

@@ -1,55 +1,47 @@
-"""The buffered online contract shared by MTCSC-L, MTCSC-C and MTCSC-A.
+"""The online contract shared by MTCSC-L, MTCSC-C and MTCSC-A.
 
-Points arrive in strictly increasing time order.  A key point ``x_k`` is
-decided once its lookahead window ``(t_k, t_k + w]`` has fully arrived
-(or at :meth:`OnlineCleaner.flush`), from the previous repaired point and
-the buffered successors only: constant space beyond the window
-(Section 1.3).  The first point of a stream is trusted (the algorithms
-start at k=2).  A cleaner implements one hook, :meth:`OnlineCleaner.decide`;
-:func:`run` is the batch form of every online cleaner, and the Structured
-Streaming job drives the very same objects, so batch and streaming agree.
+Points arrive in strictly increasing time order, in blocks of any size.
+A key point ``x_k`` is decided once its lookahead window ``(t_k, t_k + w]``
+has fully arrived (or at :meth:`OnlineCleaner.flush`), from the previous
+repaired point and the buffered successors only (Section 1.3).  The first
+point of a stream is trusted (the algorithms start at k=2).  A cleaner
+implements one hook, :meth:`OnlineCleaner.decide`; :func:`run` feeds a
+whole series as one block, and the Structured Streaming job feeds each
+micro-batch as one, to the very same objects, so batch and streaming agree.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .speed import SpeedConstraint
-
-#: Slots a window buffer starts with; a full buffer doubles when at least
-#: half its slots are live, and is compacted in place otherwise.
-MIN_SLOTS = 64
+from .speed import SpeedConstraint, as_series
 
 
 class OnlineCleaner:
-    """Window buffer, previous repair and emission for one stream.
+    """Window, previous repair and emission for one stream.
 
-    Feed points with :meth:`push`; repairs are emitted once their
-    lookahead window has fully arrived, or at :meth:`flush`, and are
-    collected with :meth:`drain`.
-
-    The window lives in two numpy arrays, ``_t`` and ``_X``, whose live
-    slots are ``[_h, _n)``: emitting a point advances the head ``_h``, and
-    a push into a full buffer moves the live slots to the front (or into
-    a buffer twice the size).  So a slot is overwritten once its point has
-    left the window, and a view into the buffer must not outlive it: a
-    repair that is such a view (a kept point) is copied when it is
-    emitted.  A cleaner that keeps state per buffered point implements
-    :meth:`admit`.
+    Feed blocks of points with :meth:`feed`; it returns the repairs whose
+    lookahead window the block completed, and :meth:`flush` returns the
+    rest.  Each feed builds one read-only array of the window followed by
+    the block, and the window kept for the next feed, ``decide``'s inputs
+    and every kept point's repair are views of it.  Since no such array is
+    ever written, a repair stays valid without a copy.  Between feeds the
+    cleaner holds the window and the previous repair: views that keep the
+    arrays of at most two feeds alive, each the window plus one block, so
+    its space is constant in the stream length.  A cleaner that keeps state
+    per window point implements :meth:`admit`.
     """
 
     def __init__(self, s: SpeedConstraint):
         self.s = s
-        self._t = np.empty(0)
+        self._t = np.empty(0)  # the window: points not yet emitted
         self._X = np.empty((0, 0))
-        self._h = self._n = 0  # live buffer slots are [_h, _n)
         self._prev_t: float | None = None  # timestamp of last emitted repair
         self._prev_x: np.ndarray | None = None  # value of last emitted repair
-        self._out: list[tuple[float, np.ndarray]] = []
 
     def decide(self, ts: np.ndarray, xs: np.ndarray, hi: int) -> np.ndarray:
         """Return the repair of the key point ``(ts[0], xs[0])``.
 
-        ``ts``/``xs`` are views of the buffered points, key point first;
+        ``ts``/``xs`` are read-only views of the window, key point first;
         ``ts[1:hi]``/``xs[1:hi]`` are its successors inside the lookahead
         window.  Called for every point but the first, so the previous
         repair (``self._prev_t``, ``self._prev_x``) is always set.  A kept
@@ -58,63 +50,46 @@ class OnlineCleaner:
         """
         raise NotImplementedError
 
-    def admit(self) -> None:
-        """Hook run when a point joins the buffer, before any emission.
+    def admit(self, ts: np.ndarray, xs: np.ndarray) -> None:
+        """Hook run when a point joins the window ``(ts, xs)`` as its last
+        point, before any emission."""
 
-        The new point is the last of :meth:`buffered`.
-        """
-
-    def buffered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views ``(ts, xs)`` of the buffered points, oldest first."""
-        return self._t[self._h:self._n], self._X[self._h:self._n]
-
-    def _emit_first_buffered(self, hi: int) -> None:
-        ts, xs = self.buffered()
+    def _emit(self, ts, xs, hi: int) -> tuple[float, np.ndarray]:
         xr = xs[0] if self._prev_x is None else self.decide(ts, xs, hi)
-        if xr.base is self._X:  # a kept point: its slot will be reused
-            xr = xr.copy()
-        tk = float(ts[0])
-        self._h += 1
-        self._out.append((tk, xr))
-        self._prev_t, self._prev_x = tk, xr
+        self._prev_t, self._prev_x = float(ts[0]), xr
+        return self._prev_t, xr
 
-    def _make_room(self, dim: int) -> None:
-        live = self._n - self._h
-        if 2 * live >= len(self._t):
-            cap = max(MIN_SLOTS, 2 * len(self._t))
-            t, X = np.empty(cap), np.empty((cap, dim))
-        else:
-            t, X = self._t, self._X
-        if live:
-            t[:live] = self._t[self._h:self._n]
-            X[:live] = self._X[self._h:self._n]
-        self._t, self._X, self._h, self._n = t, X, 0, live
+    def feed(self, t, X) -> list[tuple[float, np.ndarray]]:
+        """Add a block of points; return the ``(t, x_repaired)`` pairs it completes.
 
-    def push(self, t: float, x: np.ndarray) -> None:
-        t, n = float(t), self._n
-        if n > self._h and t <= self._t[n - 1]:
+        The block passes :func:`~repro.core.speed.as_series` and must start
+        after the last point fed; a rejected block leaves no trace.
+        """
+        t, X = as_series(t, X)
+        last = self._t[-1] if len(self._t) else self._prev_t
+        if last is not None and len(t) and t[0] <= last:
             raise ValueError("timestamps must be strictly increasing")
-        if n == len(self._t):
-            self._make_room(np.size(x))
-            n = self._n
-        self._t[n] = t
-        self._X[n] = x
-        self._n = n + 1
-        self.admit()
-        # Emit every buffered key point whose lookahead window is complete.
-        # Every other buffered point lies inside that window: it arrived
-        # when an older (or the same) key was the head.
-        while t > self._t[self._h] + self.s.window:
-            self._emit_first_buffered(self._n - self._h - 1)
+        ts = np.concatenate((self._t, t))
+        xs = np.concatenate((self._X, X)) if len(self._t) else X.copy()
+        ts.setflags(write=False)
+        xs.setflags(write=False)
+        out, h, w = [], 0, self.s.window
+        for n in range(len(self._t) + 1, len(ts) + 1):
+            self.admit(ts[h:n], xs[h:n])
+            # Emit every key point whose lookahead window is complete.
+            # Every other window point lies inside it: it arrived when an
+            # older (or the same) key was the first of the window.
+            while ts[n - 1] > ts[h] + w:
+                out.append(self._emit(ts[h:n], xs[h:n], n - h - 1))
+                h += 1
+        self._t, self._X = ts[h:], xs[h:]
+        return out
 
-    def flush(self) -> None:
-        """End of stream: decide all remaining buffered points."""
-        while self._n > self._h:
-            self._emit_first_buffered(self._n - self._h)
-
-    def drain(self) -> list[tuple[float, np.ndarray]]:
-        """Return and clear the ``(t, x_repaired)`` pairs emitted so far."""
-        out, self._out = self._out, []
+    def flush(self) -> list[tuple[float, np.ndarray]]:
+        """End of stream: decide and return every point left in the window."""
+        ts, xs, n = self._t, self._X, len(self._t)
+        out = [self._emit(ts[h:], xs[h:], n - h) for h in range(n)]
+        self._t, self._X = ts[n:], xs[n:]
         return out
 
 
@@ -124,7 +99,4 @@ def run(cleaner: OnlineCleaner, t: np.ndarray, X: np.ndarray) -> np.ndarray:
     The body of the batch online cleaners, under
     :func:`repro.core.speed.as_cleaner`.
     """
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    return np.vstack([x for _, x in cleaner.drain()])
+    return np.vstack([x for _, x in cleaner.feed(t, X) + cleaner.flush()])

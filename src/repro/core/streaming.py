@@ -1,16 +1,19 @@
 """Structured Streaming online cleaning (the paper's streaming setting).
 
-Micro-batches arrive from a file source; ``foreachBatch`` feeds each
-batch, in timestamp order per series, into a persistent online cleaner
-picked by method name from :data:`repro.core.ONLINE_CLEANERS`
-(MTCSC-L, MTCSC-C or MTCSC-A).  Every online cleaner shares one core,
-:class:`~repro.core.online.OnlineCleaner`, which emits a repair as soon
-as a key point's lookahead window has fully arrived — exactly the
-paper's online contract — and the batch functions drive the same core,
-so the drained stream output equals the batch result (asserted in tests).
+Micro-batches arrive from a file source; ``foreachBatch`` hands each
+series' rows of a batch, in timestamp order, as one block to a
+persistent online cleaner picked by method name from
+:data:`repro.core.ONLINE_CLEANERS` (MTCSC-L, MTCSC-C or MTCSC-A).  Every
+online cleaner shares one core, :class:`~repro.core.online.OnlineCleaner`,
+whose ``feed`` validates the block and returns each repair as soon as its
+key point's lookahead window has fully arrived — exactly the paper's
+online contract.  The batch functions feed the same core the whole series
+as one block, so the stream output equals the batch result once the
+stream drains, whatever the batch boundaries (asserted in tests).
 
-State is held per series in the driver (the cleaner needs only the last
-repaired point plus a ``w``-bounded buffer — constant space, Section 1.3).
+State is held per series in the driver: the cleaner needs only the last
+repaired point plus its ``w``-bounded window, so between batches it holds
+at most the window plus one batch — constant space, Section 1.3.
 A production deployment would move this into
 ``transformWithStateInPandas``; the dataflow and the state contract are
 identical, and the per-batch path below reuses the very same cleaner
@@ -55,30 +58,26 @@ class StreamingCleaner:
     def process_batch(self, pdf: pd.DataFrame) -> None:
         """Feed one micro-batch (any subset of rows, per-series ordered).
 
-        Each series' rows, sorted by ``t``, pass the input contract
-        (:func:`~repro.core.speed.as_series`) before they are pushed.
+        Each series' rows, sorted by ``t``, are one block for
+        :meth:`~repro.core.online.OnlineCleaner.feed`, which applies the
+        input contract.
         """
         for sid, grp in pdf.groupby("series_id"):
             grp = grp.sort_values("t")
-            t, X = as_series(grp["t"].to_numpy(), grp["v"].tolist())
             if sid not in self._state:
                 self._state[sid] = self._cls(self.s)
-            cleaner = self._state[sid]
-            for tk, x in zip(t, X):
-                cleaner.push(tk, x)
-            self._drain(sid, cleaner)
+            pairs = self._state[sid].feed(grp["t"].to_numpy(), grp["v"].tolist())
+            self._record(sid, pairs)
 
     def finish(self) -> pd.DataFrame:
         """Flush every cleaner and return all repairs as a DataFrame."""
         for sid, cleaner in self._state.items():
-            cleaner.flush()
-            self._drain(sid, cleaner)
+            self._record(sid, cleaner.flush())
         out = pd.DataFrame(self.results, columns=["series_id", "t", "repaired"])
         return out.sort_values(["series_id", "t"]).reset_index(drop=True)
 
-    def _drain(self, sid: str, cleaner: OnlineCleaner) -> None:
-        for t, xr in cleaner.drain():
-            self.results.append((sid, t, list(map(float, xr))))
+    def _record(self, sid: str, pairs: list[tuple[float, np.ndarray]]) -> None:
+        self.results += [(sid, t, list(map(float, xr))) for t, xr in pairs]
 
 
 def write_stream_files(

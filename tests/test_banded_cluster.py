@@ -22,9 +22,11 @@ from repro.core import (
     estimate_speed,
     mtcsc_a,
     mtcsc_c,
+    mtcsc_l,
     mtcsc_uni,
     speed,
 )
+from repro.core.online import run
 from repro.core.streaming import StreamingCleaner
 from repro.datasets import ecg, gps_mixed, gps_walk, ild
 from repro.errors import inject_errors
@@ -83,43 +85,72 @@ def test_adaptive_state_equals_scalar_reference(data):
     re-thresholded on every move, so repairs and state still match."""
     t, X, s = DATASETS[data]()
     got, want = AdaptiveCleaner(s, m=100), ref.AdaptiveCleaner(s, m=100)
+    pairs = []
     for i in range(len(t)):
-        got.push(t[i], X[i])
-    got.flush()
-    assert_bits_equal(np.vstack([x for _, x in got.drain()]), want.run(t, X))
+        pairs += got.feed(t[i : i + 1], X[i : i + 1])
+    pairs += got.flush()
+    assert_bits_equal(np.vstack([x for _, x in pairs]), want.run(t, X))
     assert got.n_speed_updates == want.adaptive.n_updates
     assert got.current_speed == want.adaptive.s
     if data in ("gps-mixed", "ecg-d32"):
         assert got.n_speed_updates >= 1
 
 
-@pytest.mark.parametrize("variant", ["MTCSC-C", "MTCSC-A"])
-@pytest.mark.parametrize("rows", [5, 37])
+@pytest.mark.parametrize("variant", ["MTCSC-L", "MTCSC-C", "MTCSC-A"])
+@pytest.mark.parametrize("rows", [1, 5, 37, pytest.param(None, id="whole")])
 def test_stream_batches_split_windows(variant, rows):
     """Micro-batches far shorter than a window (~46 points): band rows
-    made in one batch are read by key points decided in later ones."""
+    made in one batch are read by key points decided in later ones.  One
+    row per batch puts a block boundary after every point; the whole
+    series in one batch puts none."""
     t, X, s = _gps_mixed()
     cleaner = StreamingCleaner(s, variant=variant)
     pdf = pd.DataFrame({"series_id": "s0", "t": t, "v": list(map(list, X))})
+    rows = rows or len(pdf)
     for lo in range(0, len(pdf), rows):
         cleaner.process_batch(pdf.iloc[lo : lo + rows])
     got = np.array(cleaner.finish()["repaired"].tolist())
-    want = (ref.mtcsc_c if variant == "MTCSC-C" else ref.mtcsc_a)(t, X, s)[0]
-    assert_bits_equal(got, want)
+    want = {"MTCSC-L": mtcsc_l, "MTCSC-C": ref.mtcsc_c, "MTCSC-A": ref.mtcsc_a}[variant]
+    assert_bits_equal(got, want(t, X, s)[0])
 
 
 @pytest.mark.parametrize("cls", [LocalCleaner, ClusterCleaner, AdaptiveCleaner])
 def test_emitted_repairs_survive_buffer_reuse(cls):
-    """A kept point leaves the window buffer as a copy: drained repairs do
-    not change while later points move and overwrite the buffer slots."""
+    """Emitted repairs do not change while later points arrive: a kept
+    point is a view of a read-only window array, which no later feed
+    writes."""
     t, X, s = _gps_walk()
     cleaner, seen = cls(s), []
     for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-        seen += [(x, x.copy()) for _, x in cleaner.drain()]
+        seen += [(x, x.copy()) for _, x in cleaner.feed(t[i : i + 1], X[i : i + 1])]
     assert len(seen) > len(t) // 2
     for x, at_drain in seen:
         assert_bits_equal(x, at_drain)
+
+
+@pytest.mark.parametrize("cls", [LocalCleaner, ClusterCleaner, AdaptiveCleaner])
+def test_feed_rejects_bad_block_atomically(cls):
+    """A block with a NaN, a repeated timestamp or a first timestamp not
+    after the window raises before it changes the cleaner: the good blocks
+    around it give exactly ``run``'s repair."""
+    t, X, s = _gps_walk()
+    cleaner, pairs = cls(s), []
+    cuts = [0, 100, 137, 300, len(t)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo:
+            nan, repeat = X[lo:hi].copy(), t[lo:hi].copy()
+            nan[-1, 0] = np.nan
+            repeat[2] = repeat[1]
+            late = [(t[k:hi], X[k:hi]) for k in (lo - 1, lo - 5)]
+            for bad in [(t[lo:hi], nan), (repeat, X[lo:hi]), *late]:
+                with pytest.raises(ValueError):
+                    cleaner.feed(*bad)
+        pairs += cleaner.feed(t[lo:hi], X[lo:hi])
+    pairs += cleaner.flush()
+    assert [tk for tk, _ in pairs] == t.tolist()
+    assert_bits_equal(np.vstack([x for _, x in pairs]), run(cls(s), t, X))
+    with pytest.raises(ValueError):  # the window is empty, the last repair is not
+        cleaner.feed(t[-1:], X[-1:])
 
 
 def test_speed_monitor_equals_scalar_reference():

@@ -98,7 +98,7 @@ class TestMtcscA:
         s = SpeedConstraint(1.0, 10.0)
         Xa, cha = mtcsc_a(t, X, s, m=30, tau=1e9)
         Xc, chc = mtcsc_c(t, X, s)
-        np.testing.assert_allclose(Xa, Xc)
+        np.testing.assert_array_equal(Xa, Xc)
         np.testing.assert_array_equal(cha, chc)
 
     def test_adapts_on_gps_mixed(self):
@@ -118,7 +118,7 @@ class TestMtcscA:
         t, dirty, truth, mask, mode = gps_mixed(2400, seed=8)
         cleaner = AdaptiveCleaner(SpeedConstraint(1.6, 45.0), m=100)
         for i in range(len(t)):
-            cleaner.push(t[i], dirty[i])
+            cleaner.feed(t[i : i + 1], dirty[i : i + 1])
         cleaner.flush()
         assert cleaner.n_speed_updates >= 1
         assert cleaner.current_speed > 1.6

@@ -101,9 +101,9 @@ class TestBasics:
 
     def test_non_increasing_timestamps_raise(self):
         c = ClusterCleaner(SpeedConstraint(1, 1))
-        c.push(1.0, np.array([0.0]))
+        c.feed([1.0], [[0.0]])
         with pytest.raises(ValueError):
-            c.push(0.5, np.array([1.0]))
+            c.feed([0.5], [[1.0]])
 
 
 class TestSoundness:
@@ -156,9 +156,7 @@ class TestConsecutiveErrors:
         cleaner = ClusterCleaner(s)
         rows = []
         for i in range(n):
-            cleaner.push(t[i], X[i])
-            rows.extend(cleaner.drain())
-        cleaner.flush()
-        rows.extend(cleaner.drain())
+            rows.extend(cleaner.feed(t[i : i + 1], X[i : i + 1]))
+        rows.extend(cleaner.flush())
         got = np.vstack([r[1] for r in rows])
         np.testing.assert_allclose(got, want)

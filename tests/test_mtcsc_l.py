@@ -41,9 +41,9 @@ class TestBasics:
 
     def test_non_increasing_timestamps_raise(self):
         c = LocalCleaner(SpeedConstraint(1, 1))
-        c.push(0.0, np.array([0.0]))
+        c.feed([0.0], [[0.0]])
         with pytest.raises(ValueError):
-            c.push(0.0, np.array([1.0]))
+            c.feed([0.0], [[1.0]])
 
     def test_empty(self):
         Xr, ch = mtcsc_l(np.zeros(0), np.zeros((0, 1)), SpeedConstraint(1, 1))
@@ -89,10 +89,8 @@ class TestIncremental:
         rows = []
         for start in range(0, n, batch):
             for i in range(start, min(start + batch, n)):
-                cleaner.push(t[i], X[i])
-            rows.extend(cleaner.drain())
-        cleaner.flush()
-        rows.extend(cleaner.drain())
+                rows.extend(cleaner.feed(t[i : i + 1], X[i : i + 1]))
+        rows.extend(cleaner.flush())
         got = np.vstack([r[1] for r in rows])
         np.testing.assert_array_equal(got, want)
 
@@ -100,8 +98,8 @@ class TestIncremental:
         # A key point must be emitted once data beyond t_k + w arrived.
         s = SpeedConstraint(1.0, 3.0)
         cleaner = LocalCleaner(s)
+        out = []
         for i in range(5):
-            cleaner.push(float(i), np.array([0.0]))
-        out = cleaner.drain()
+            out += cleaner.feed([float(i)], [[0.0]])
         # Points 0 (t+w=3 < 4 arrived) should be out; the rest buffered.
         assert len(out) == 1 and out[0][0] == 0.0
