@@ -58,16 +58,24 @@ class StreamingCleaner:
     def process_batch(self, pdf: pd.DataFrame) -> None:
         """Feed one micro-batch (any subset of rows, per-series ordered).
 
-        Each series' rows, sorted by ``t``, are one block for
+        One ``lexsort`` on ``(series_id, t)`` orders the batch and ``v`` is
+        stacked once, so every row of a batch has the same dimension
+        count; each series' slice is one block for
         :meth:`~repro.core.online.OnlineCleaner.feed`, which applies the
         input contract.
         """
-        for sid, grp in pdf.groupby("series_id"):
-            grp = grp.sort_values("t")
-            if sid not in self._state:
-                self._state[sid] = self._cls(self.s)
-            pairs = self._state[sid].feed(grp["t"].to_numpy(), grp["v"].tolist())
-            self._record(sid, pairs)
+        if not len(pdf):
+            return
+        sid, t = pdf["series_id"].to_numpy(), pdf["t"].to_numpy()
+        order = np.lexsort((t, sid))
+        sid, t = sid[order], t[order]
+        v = np.array(pdf["v"].tolist(), float)[order]
+        cut = np.flatnonzero(sid[1:] != sid[:-1]) + 1
+        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(sid)]):
+            key = sid[lo]
+            if key not in self._state:
+                self._state[key] = self._cls(self.s)
+            self._record(key, self._state[key].feed(t[lo:hi], v[lo:hi]))
 
     def finish(self) -> pd.DataFrame:
         """Flush every cleaner and return all repairs as a DataFrame."""
@@ -139,9 +147,7 @@ def run_file_stream(
     )
 
     def on_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.toPandas()
-        if len(pdf):
-            state.process_batch(pdf)
+        state.process_batch(batch_df.toPandas())
 
     query = stream.writeStream.foreachBatch(on_batch).trigger(
         availableNow=True

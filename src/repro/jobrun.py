@@ -10,7 +10,11 @@ def default_spark(app: str) -> SparkSession:
     """The one SparkSession recipe, for the jobs, the benchmark and tests.
 
     ``getOrCreate`` returns the running session if there is one (under
-    pytest, the ``spark`` fixture's, built by this same call).
+    pytest, the ``spark`` fixture's, built by this same call).  Spark's
+    Python workers start from :mod:`repro.spark_daemon`, which keeps
+    Spark's zip and jar archives off their path so a task does not re-read
+    them, and talk to the JVM over a unix socket; so ``repro`` must be
+    importable by the workers, as the kernels already require.
     """
     return (
         SparkSession.builder.appName(app)
@@ -18,5 +22,7 @@ def default_spark(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.python.daemon.module", "repro.spark_daemon")
+        .config("spark.python.unix.domain.socket.enabled", "true")
         .getOrCreate()
     )

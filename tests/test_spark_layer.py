@@ -1,5 +1,8 @@
 """Spark dataflow layer: per-series and chunked parallel cleaning, the
-exact chunk groups, the plan's sizing, method registry."""
+exact chunk groups, the plan's sizing, the Python workers' runtime,
+method registry."""
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -168,6 +171,47 @@ class TestPlan:
             assert "Join" not in plan and "Window" not in plan
         finally:
             spark.conf.unset(key)
+
+
+def _worker_runtime(_):
+    import sys
+    import zipimport
+
+    import pyspark
+
+    zips = [
+        key
+        for key, finder in sys.path_importer_cache.items()
+        if isinstance(finder, zipimport.zipimporter)
+    ]
+    lib = os.path.join(os.environ["SPARK_HOME"], "python", "lib") + os.sep
+    return lib, list(sys.path), zips, pyspark.__version__, pyspark.__file__
+
+
+class TestWorkerRuntime:
+    def test_no_spark_archive_on_worker_path(self, spark):
+        import pyspark
+
+        n = spark.sparkContext.defaultParallelism
+        runtimes = spark.sparkContext.parallelize(range(n), n).map(_worker_runtime)
+        for lib, path, zips, version, file in runtimes.collect():
+            entries = path + zips + [file]
+            assert [p for p in entries if p.startswith(lib) or ".jar" in p] == []
+            assert version == pyspark.__version__
+
+    def test_add_py_file_imports_in_task(self, spark, tmp_path):
+        # Files shipped with addPyFile land on the worker's path per task,
+        # so the per-task import cache refresh must still see them.
+        shipped = tmp_path / "repro_shipped_probe.py"
+        shipped.write_text("VALUE = 42\n")
+        spark.sparkContext.addPyFile(str(shipped))
+
+        def task(x):
+            import repro_shipped_probe
+
+            return repro_shipped_probe.VALUE + x
+
+        assert spark.sparkContext.parallelize([0, 1], 2).map(task).collect() == [42, 43]
 
 
 class TestMethodRegistry:

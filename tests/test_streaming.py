@@ -22,17 +22,22 @@ class TestStreamingCleaner:
     )
     def test_batch_feed_equals_batch_algorithm(self, variant, batch_fn):
         t, dirty, truth, mask = gps_walk(600, seed=5)
-        sc = StreamingCleaner(S, variant=variant)
         pdf = pd.DataFrame(
             {"series_id": "s0", "t": t, "v": list(map(list, dirty))}
         )
-        # Feed in 7 uneven micro-batches.
-        for i in np.array_split(np.arange(len(pdf)), 7):
-            sc.process_batch(pdf.iloc[i])
-        out = sc.finish()
         want, _ = batch_fn(t, dirty, S)
-        got = np.array(out["repaired"].tolist())
-        np.testing.assert_array_equal(got, want)
+        rows = np.arange(len(pdf))
+        # 7 uneven micro-batches, then batches of 1, 5, 37 and all rows.
+        splits = [np.array_split(rows, 7)] + [
+            np.split(rows, np.arange(size, len(rows), size))
+            for size in (1, 5, 37, len(rows))
+        ]
+        for batches in splits:
+            sc = StreamingCleaner(S, variant=variant)
+            for i in batches:
+                sc.process_batch(pdf.iloc[i])
+            got = np.array(sc.finish()["repaired"].tolist())
+            np.testing.assert_array_equal(got, want)
 
     def test_cluster_variant(self):
         t, dirty, truth, mask = gps_walk(400, seed=6)
