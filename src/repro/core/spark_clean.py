@@ -1,53 +1,35 @@
-"""Distributed cleaning as PySpark dataflow.
+"""Distributed cleaning as PySpark dataflow over long-format frames
+``(series_id: string, t: double, v: array<double>)``, in two regimes of one
+cleaning stage of ``sparkContext.defaultParallelism`` partitions each:
+:func:`clean_per_series` cleans many independent series (the UCR/UEA
+archives of Figure 16), one kernel call per series, and
+:func:`clean_chunked` cleans one long series in parallel row chunks.
 
-Long-format frame convention used across jobs and tests:
-
-    series_id: string, t: double, v: array<double>
-
-Two parallelism regimes, each one cleaning stage of
-``sparkContext.defaultParallelism`` partitions:
-
-1. :func:`clean_per_series` — many independent series (the UCR/UEA
-   archives of Figure 16): ``groupBy(series_id).applyInPandas`` runs a
-   cleaning kernel once per series.
-
-2. :func:`clean_chunked` — one long series: split into row chunks, give
-   each chunk a *warm-up* prefix (the rows of the previous chunk only
-   that cover the preceding ``warmup`` time units) so the online
-   cleaners enter each chunk with realistic local state, clean chunks in
-   parallel, drop warm-up rows, reassemble.  The online cleaners
-   (MTCSC-L/C/A) depend on the past only through the previous repaired
-   point and a ``w``-bounded lookahead, so a warm-up of a few windows
-   makes the stitched output match the sequential one except in the rare
-   case where an error run spans a chunk boundary longer than the
-   warm-up (tests quantify the agreement).
-
-Cleaner kernels are the plain numpy functions from :mod:`repro.core` and
-:mod:`repro.baselines`; they run untouched inside Arrow-backed
-``applyInPandas`` workers, through one group body (:func:`_kernel`) that
-both regimes share.  Neither regime writes the session's conf.
+Both share one Arrow-only runner (:func:`_each_run`): the JVM sorts each
+partition by the group key, then ``t``, and ``mapInArrow`` feeds the
+batches to :func:`_runs`, which calls a body once per *run* (consecutive
+rows with one key).  The numpy kernels of :mod:`repro.core` and
+:mod:`repro.baselines` get ``t`` and ``v`` as read-only views of the Arrow
+buffers.  The run bodies import no pandas into a worker: Arrow's
+``to_numpy`` and ``pa.array`` would, so :func:`_view` and :func:`_arrow` go
+by the buffers.  Neither regime writes the session's conf.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    ArrayType,
-    BooleanType,
-    DoubleType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import ArrayType, BooleanType, DoubleType, IntegerType, StringType
+from pyspark.sql.types import StructField, StructType
 
 from .speed import as_series
 
 CleanFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+RunBody = Callable[[pa.RecordBatch], pa.RecordBatch]
 
 INPUT_FIELDS = [
     StructField("series_id", StringType()),
@@ -57,121 +39,139 @@ INPUT_FIELDS = [
 
 CLEAN_SCHEMA = StructType(
     INPUT_FIELDS
-    + [
-        StructField("repaired", ArrayType(DoubleType())),
-        StructField("changed", BooleanType()),
-    ]
+    + [StructField("repaired", ArrayType(DoubleType())), StructField("changed", BooleanType())]
 )
 
-WARMUP_FIELD = StructField("is_warmup", BooleanType())
+# ``chunk`` is an INT: ``repartitionById`` takes no other partition id.
+LABEL_SCHEMA = StructType(
+    INPUT_FIELDS + [StructField("chunk", IntegerType()), StructField("is_warmup", BooleanType())]
+)
 
-LABEL_SCHEMA = StructType(INPUT_FIELDS + [StructField("chunk", LongType()), WARMUP_FIELD])
+
+def _view(a: pa.Array, dtype: type, extra: int = 0) -> np.ndarray:
+    """Read-only numpy view of ``len(a) + extra`` items of ``a``'s data
+    buffer (a list's offsets take ``extra=1``); ``a`` must hold no null."""
+    if a.null_count:
+        raise ValueError("t and v must not be null")
+    size = np.dtype(dtype).itemsize
+    return np.frombuffer(a.buffers()[1], dtype, len(a) + extra, a.offset * size)
+
+
+def _arrow(values: np.ndarray) -> pa.Array:
+    """A contiguous 1-D float64, int32 or bool numpy array as an Arrow array."""
+    data = np.packbits(values, bitorder="little") if values.dtype == bool else values
+    kind = pa.from_numpy_dtype(values.dtype)
+    return pa.Array.from_buffers(kind, len(values), [None, pa.py_buffer(data)])
+
+
+def _lists(X: np.ndarray) -> pa.ListArray:
+    """The rows of an ``(n, D)`` float array as an Arrow list column."""
+    offsets = np.arange(len(X) + 1, dtype=np.int32) * X.shape[1]
+    return pa.ListArray.from_arrays(_arrow(offsets), _arrow(np.asarray(X, float).ravel()))
 
 
 def to_spark_long(
-    spark: SparkSession,
-    t: np.ndarray,
-    X: np.ndarray,
-    *,
-    series_id: str = "s0",
+    spark: SparkSession, t: np.ndarray, X: np.ndarray, *, series_id: str = "s0"
 ) -> DataFrame:
     """Pack one numpy series into the long-format Spark frame."""
     t, X = as_series(t, X)
-    pdf = pd.DataFrame(
-        {
-            "series_id": series_id,
-            "t": t,
-            "v": list(map(list, X)),
-        }
-    )
-    return spark.createDataFrame(pdf)
+    ids = pa.array([series_id] * len(t), pa.string())
+    return spark.createDataFrame(pa.table({"series_id": ids, "t": t, "v": _lists(X)}))
 
 
-def _kernel(clean_fn: CleanFn, schema: StructType):
-    """Wrap a numpy cleaner as an applyInPandas kernel over one group.
+def _runs(keys: tuple[str, ...], body: RunBody):
+    """``mapInArrow`` function over batches sorted by ``keys``: ``body`` once
+    per run of equal ``keys``, holding one run at a time (a batch's last)."""
 
-    The output columns are those of ``schema``; any besides ``repaired``
-    and ``changed`` pass through from the sorted input group.
-    """
-    columns = schema.fieldNames()
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t").reset_index(drop=True)
-        t = pdf["t"].to_numpy(float)
-        X = np.array(pdf["v"].tolist(), dtype=float)
-        Xr, changed = clean_fn(t, X)
-        out = {"repaired": list(map(list, Xr)), "changed": changed.astype(bool)}
-        return pd.DataFrame({c: out[c] if c in out else pdf[c] for c in columns})
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        held = None
+        for batch in filter(len, batches):  # skips empty batches
+            if held is not None:
+                batch = pa.Table.from_batches([held, batch]).combine_chunks().to_batches()[0]
+            ends = [_view(pc.run_end_encode(batch.column(k)).run_ends, np.int32) for k in keys]
+            starts = [0, *np.unique(np.concatenate(ends))]
+            for a, b in zip(starts[:-2], starts[1:-1]):
+                yield body(batch.slice(a, b - a))
+            held = batch.slice(starts[-2])
+        if held is not None:
+            yield body(held)
 
     return run
 
 
-def _label_chunks(chunk_rows: int, warmup: float):
-    """applyInPandas body over one series: label each row with its chunk.
+def _each_run(df: DataFrame, keys: tuple[str, ...], body: RunBody, schema: StructType):
+    """Sort each partition by ``keys``, then ``t``; ``body`` once per run."""
+    return df.sortWithinPartitions(*keys, "t").mapInArrow(_runs(keys, body), schema)
 
-    Row ``i`` (in ``t`` order) belongs to chunk ``i // chunk_rows``, and is
-    copied into the next chunk as a warm-up row when that chunk exists and
-    starts no more than ``warmup`` time units after it.
-    """
-    columns = LABEL_SCHEMA.fieldNames()
 
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t").reset_index(drop=True)
-        t = pdf["t"].to_numpy(float)
-        chunk = np.arange(len(t)) // chunk_rows
+def _clean(clean_fn: CleanFn) -> RunBody:
+    """Run body: clean one series or chunk and emit its own rows.  A
+    chunk's warm-up rows precede its own in ``t``: they are its first."""
+
+    def body(run: pa.RecordBatch) -> pa.RecordBatch:
+        v = run.column("v")
+        width = np.diff(_view(v, np.int32, 1))
+        if np.any(width != width[0]):
+            raise ValueError("every v of a series must have one length")
+        X = _view(v.flatten(), np.float64).reshape(len(v), width[0])
+        Xr, changed = clean_fn(_view(run.column("t"), np.float64), X)
+        k = run.column("is_warmup").true_count if "is_warmup" in run.schema.names else 0
+        columns = [run.column(f.name).slice(k) for f in INPUT_FIELDS]
+        columns += [_lists(Xr[k:]), _arrow(np.asarray(changed[k:], bool))]
+        return pa.RecordBatch.from_arrays(columns, names=CLEAN_SCHEMA.fieldNames())
+
+    return body
+
+
+def _label(chunk_rows: int, warmup: float) -> RunBody:
+    """Run body over one series: row ``i`` (in ``t`` order) goes to chunk
+    ``i // chunk_rows``, and is copied into the next chunk as a warm-up row
+    when that chunk exists and starts at most ``warmup`` time units later."""
+
+    def body(run: pa.RecordBatch) -> pa.RecordBatch:
+        t = _view(run.column("t"), np.float64)
+        chunk = (np.arange(len(t)) // chunk_rows).astype(np.int32)
         # Each chunk's first t; the inf start of the chunk after the last
         # keeps the last chunk's (finite) rows from being copied.
         start = np.append(t[::chunk_rows], np.inf)
-        warm = t >= start[chunk + 1] - warmup
-        own = pdf.assign(chunk=chunk, is_warmup=False)
-        copies = pdf[warm].assign(chunk=chunk[warm] + 1, is_warmup=True)
-        return pd.concat([own, copies], ignore_index=True)[columns]
+        copied = np.flatnonzero(t >= start[chunk + 1] - warmup)
+        rows = run.take(_arrow(np.concatenate([np.arange(len(t)), copied]).astype(np.int32)))
+        warm = _arrow(np.arange(rows.num_rows) >= len(t))
+        columns = [*rows.columns, _arrow(np.concatenate([chunk, chunk[copied] + 1])), warm]
+        return pa.RecordBatch.from_arrays(columns, names=LABEL_SCHEMA.fieldNames())
 
-    return run
+    return body
 
 
 def clean_per_series(df: DataFrame, clean_fn: CleanFn) -> DataFrame:
     """Clean every series of a long-format frame independently in parallel."""
     n = df.sparkSession.sparkContext.defaultParallelism
-    return (
-        df.select("series_id", "t", "v")
-        .repartition(n, "series_id")
-        .groupBy("series_id")
-        .applyInPandas(_kernel(clean_fn, CLEAN_SCHEMA), schema=CLEAN_SCHEMA)
-    )
+    by_series = df.select("series_id", "t", "v").repartition(n, "series_id")
+    return _each_run(by_series, ("series_id",), _clean(clean_fn), CLEAN_SCHEMA)
 
 
 def clean_chunked(
-    df: DataFrame,
-    clean_fn: CleanFn,
-    *,
-    chunk_rows: int,
-    warmup: float,
+    df: DataFrame, clean_fn: CleanFn, *, chunk_rows: int, warmup: float
 ) -> DataFrame:
     """Clean one long series in parallel chunks with warm-up overlap.
 
     ``warmup`` is in *time units* (use a few multiples of the constraint
-    window ``w``).  The rows of the previous chunk that fall in the
-    ``warmup`` time units before a chunk's first point are duplicated into
-    that chunk, cleaned, then dropped, so every emitted repair was
-    produced with locally converged cleaner state.  Warm-up rows come
-    from the previous chunk only, even when ``warmup`` spans more.
+    window ``w``).  The previous chunk's rows in the ``warmup`` time units
+    before a chunk's first point are copied into it, cleaned, then
+    dropped.  The online cleaners (MTCSC-L/C/A) depend on the past only
+    through the previous repair and a ``w``-bounded lookahead, so the
+    output matches the sequential one except where an error run spans a
+    boundary longer than the warm-up (tests quantify it).  Chunk ``k``
+    goes to partition ``(h + k) mod n``, ``h`` the series' hash.
     """
     if chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive")
     if warmup < 0:
         raise ValueError("warmup must be non-negative")
     n = df.sparkSession.sparkContext.defaultParallelism
-    schema = StructType(CLEAN_SCHEMA.fields + [WARMUP_FIELD])
-    # The explicit repartition keeps the chunks apart: a group stage left
-    # to AQE is coalesced by bytes, and kilobytes of chunks become one task.
-    return (
-        df.select("series_id", "t", "v")
-        .groupBy("series_id")
-        .applyInPandas(_label_chunks(chunk_rows, warmup), schema=LABEL_SCHEMA)
-        .repartition(n, "series_id", "chunk")
-        .groupBy("series_id", "chunk")
-        .applyInPandas(_kernel(clean_fn, schema), schema=schema)
-        .where(~F.col("is_warmup"))
-        .drop("is_warmup")
-    )
+    # Explicit counts keep the stages apart: AQE coalesces kilobyte-sized ones to one task.
+    by_series = df.select("series_id", "t", "v").repartition(n, "series_id")
+    labelled = _each_run(by_series, ("series_id",), _label(chunk_rows, warmup), LABEL_SCHEMA)
+    # repartitionById takes the id modulo n; pmod first keeps the sum in range.
+    by_chunk = labelled.repartitionById(n, F.pmod(F.hash("series_id"), F.lit(n)) + F.col("chunk"))
+    return _each_run(by_chunk, ("series_id", "chunk"), _clean(clean_fn), CLEAN_SCHEMA)

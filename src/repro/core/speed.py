@@ -8,7 +8,7 @@ unconstrained.  ``s_min = 0`` throughout (Section 2.1).
 
 All kernels operate on plain numpy arrays ``t`` (shape ``(n,)``, strictly
 increasing) and ``X`` (shape ``(n, D)``) so they are testable without
-Spark and directly usable inside ``applyInPandas`` workers.  Every
+Spark and directly usable inside Spark's ``mapInArrow`` workers.  Every
 cleaner is wrapped by :func:`as_cleaner`, the one cleaner contract: its
 input passes :func:`as_series` and its ``changed`` mask is :func:`moved`.
 """

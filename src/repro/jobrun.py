@@ -14,7 +14,10 @@ def default_spark(app: str) -> SparkSession:
     Python workers start from :mod:`repro.spark_daemon`, which keeps
     Spark's zip and jar archives off their path so a task does not re-read
     them, and talk to the JVM over a unix socket; so ``repro`` must be
-    importable by the workers, as the kernels already require.
+    importable by the workers, as the kernels already require.  PySpark's
+    DataFrame call-site capture is off: it imports IPython into the driver
+    on the first ``pyspark.sql.functions`` call, and Spark's error messages
+    lose only the line of user code that built the failing expression.
     """
     return (
         SparkSession.builder.appName(app)
@@ -24,5 +27,6 @@ def default_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .config("spark.python.daemon.module", "repro.spark_daemon")
         .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )

@@ -1,15 +1,35 @@
 """Spark dataflow layer: per-series and chunked parallel cleaning, the
-exact chunk groups, the plan's sizing, the Python workers' runtime,
-method registry."""
+exact chunk groups, the Arrow run bodies' input contract, the plan's
+sizing and chunk placement, the Python workers' runtime, method
+registry."""
+import functools
+import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from pyspark.errors import PythonException
+from pyspark.sql.types import StructType
 
-from repro.core import SpeedConstraint, mtcsc_c
-from repro.core.spark_clean import clean_chunked, clean_per_series, to_spark_long
+import repro
+from repro.core import SpeedConstraint, mtcsc_c, mtcsc_l
+from repro.core.spark_clean import (
+    CLEAN_SCHEMA,
+    INPUT_FIELDS,
+    _clean,
+    _label,
+    _runs,
+    clean_chunked,
+    clean_per_series,
+    to_spark_long,
+)
 from repro.datasets import gps_walk
+from repro.methods import METHODS, Context, SkipMethod
 from repro.metrics import evaluate
 
 S = SpeedConstraint(1.6, 45.0)
@@ -154,6 +174,126 @@ class TestChunkGroups:
             )
 
 
+REGIMES = {
+    "per-series": clean_per_series,
+    "chunked": functools.partial(clean_chunked, chunk_rows=2, warmup=1.0),
+}
+
+
+class TestRunBodyContract:
+    """The Arrow run body keeps the input contract of the pandas body it
+    replaced: one non-null ``v`` of one length per row of a series."""
+
+    def _frame(self, spark, rows):
+        return spark.createDataFrame(rows, StructType(INPUT_FIELDS))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Lengths 1 and 3 sum to 2 rows x 2: a plain reshape would pass.
+            [("a", 0.0, [1.0]), ("a", 1.0, [1.0, 2.0, 3.0])],
+            # Lengths 2, 1, 3 sum to 3 rows x the first length.
+            [("a", 0.0, [1.0, 2.0]), ("a", 1.0, [1.0]), ("a", 2.0, [1.0, 2.0, 3.0])],
+            [("a", 0.0, None), ("a", 1.0, [1.0, 2.0])],
+            # Null lists of one (zero) length.
+            [("a", 0.0, None), ("a", 1.0, None)],
+            [("a", None, [1.0]), ("a", 1.0, [2.0])],
+        ],
+        ids=["ragged", "ragged-first-fits", "null-v", "null-v-only", "null-t"],
+    )
+    def test_bad_input_raises(self, spark, regime, rows):
+        df = self._frame(spark, rows)
+        with pytest.raises(PythonException, match="ValueError"):
+            REGIMES[regime](df, _reveal_group).collect()
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_empty_frame(self, spark, regime):
+        out = REGIMES[regime](self._frame(spark, []), _reveal_group)
+        assert out.schema == CLEAN_SCHEMA
+        assert out.collect() == []
+
+
+class _Method:
+    """Picklable ``clean_fn``: one ``METHODS`` cleaner under a context."""
+
+    def __init__(self, name, ctx):
+        self.name, self.ctx = name, ctx
+
+    def __call__(self, t, X):
+        return METHODS[self.name](t, X, self.ctx)
+
+
+@pytest.fixture(scope="module")
+def two_series(spark):
+    series = {sid: gps_walk(n, seed=seed)[:2] for sid, n, seed in (("a", 150, 5), ("b", 110, 6))}
+    df = None
+    for sid, (t, X) in series.items():
+        part = to_spark_long(spark, t, X, series_id=sid)
+        df = part if df is None else df.unionByName(part)
+    return series, df.cache()
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_method_on_read_only_arrow_input(spark, two_series, name):
+    # The body hands each kernel read-only views of the Arrow buffers: a
+    # cleaner that wrote its input would fail here.
+    series, df = two_series
+    ctx = Context(s=S)
+    try:
+        want = {sid: METHODS[name](t, X, ctx) for sid, (t, X) in series.items()}
+    except SkipMethod:
+        pytest.skip(f"{name} does not apply to 2-D GPS data")
+    out = clean_per_series(df, _Method(name, ctx)).toPandas()
+    for sid, (Xr, changed) in want.items():
+        part = out[out.series_id == sid].sort_values("t")
+        np.testing.assert_array_equal(np.array(part["repaired"].tolist()), Xr)
+        np.testing.assert_array_equal(part["changed"].to_numpy(), changed)
+
+
+def _run_keys(run):
+    """Run body that emits one row per run: its key, first t and length."""
+    t = run.column("t")
+    return pa.RecordBatch.from_arrays(
+        [run.column("series_id").slice(0, 1), t.slice(0, 1), pa.array([len(run)])],
+        names=["series_id", "t", "n"],
+    )
+
+
+class TestRuns:
+    @pytest.mark.parametrize(
+        "cuts", [(), (1,), (3,), (4,), (2, 2), (1, 5, 9)], ids=str
+    )
+    def test_runs_stitched_across_batches(self, cuts):
+        # Rows a a a | b | c c c c c c: every cut gives the same three runs.
+        ids = ["a"] * 3 + ["b"] + ["c"] * 6
+        whole = pa.RecordBatch.from_arrays(
+            [pa.array(ids), pa.array(np.arange(10.0))], names=["series_id", "t"]
+        )
+        bounds = [0, *cuts, 10]
+        batches = [whole.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+        out = pa.Table.from_batches(list(_runs(("series_id",), _run_keys)(iter(batches))))
+        assert out.to_pydict() == {"series_id": ["a", "b", "c"], "t": [0.0, 3.0, 4.0], "n": [3, 1, 6]}
+
+    def test_small_arrow_batches(self, spark, two_series):
+        # Batches of 7 rows cut every series' run; the repairs must not change.
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        series, df = two_series
+        spark.conf.set(key, "7")
+        try:
+            out = clean_per_series(df, _clean_fn).toPandas()
+            chunked = clean_chunked(df, _reveal_group, chunk_rows=30, warmup=8.0).toPandas()
+        finally:
+            spark.conf.unset(key)
+        for sid, (t, X) in series.items():
+            part = out[out.series_id == sid].sort_values("t")
+            np.testing.assert_array_equal(np.array(part["repaired"].tolist()), _clean_fn(t, X)[0])
+            part = chunked[chunked.series_id == sid].sort_values("t")
+            np.testing.assert_array_equal(
+                np.array(part["repaired"].tolist()), _chunk_groups(t, 30, 8.0)
+            )
+
+
 class TestPlan:
     def test_sized_to_cores_and_session_untouched(self, spark, gps_small):
         key = "spark.sql.adaptive.coalescePartitions.enabled"
@@ -171,6 +311,84 @@ class TestPlan:
             assert "Join" not in plan and "Window" not in plan
         finally:
             spark.conf.unset(key)
+
+    def test_one_arrow_stage_per_exchange(self, spark, gps_small):
+        t, dirty, _, _ = gps_small
+        df = to_spark_long(spark, t, dirty)
+        per_series = clean_per_series(df, _reveal_group)
+        chunked = clean_chunked(df, _reveal_group, chunk_rows=300, warmup=45.0)
+        for out, exchanges in ((per_series, 1), (chunked, 2)):
+            plan = out._jdf.queryExecution().executedPlan().toString()
+            assert "FlatMapGroupsInPandas" not in plan
+            assert "FlatMapGroupsInArrow" not in plan
+            assert plan.count("Exchange ") == exchanges
+
+    def test_chunks_share_partitions_evenly(self, spark):
+        # 3000 rows in 8 chunks of 375: partition k mod n takes chunk k.
+        t, X = _irregular_series(3000, seed=7)
+        out = clean_chunked(to_spark_long(spark, t, X), _reveal_group, chunk_rows=375, warmup=0.0)
+        n = spark.sparkContext.defaultParallelism
+        # _reveal_group writes each chunk's first t into its rows' repairs.
+        chunks = out.rdd.glom().map(lambda rows: len({r.repaired[0] for r in rows})).collect()
+        assert sum(chunks) == 8
+        assert set(chunks) <= {8 // n, -(-8 // n)}
+
+    def test_one_chunk_series_spread_by_series(self, spark):
+        df = None
+        for i in range(16):
+            t, X = _irregular_series(10, seed=100 + i)
+            part = to_spark_long(spark, t, X, series_id=f"s{i}")
+            df = part if df is None else df.unionByName(part)
+        out = clean_chunked(df, _reveal_group, chunk_rows=100, warmup=5.0)
+        rows = out.rdd.glom().map(len).collect()
+        assert sum(rows) == 160
+        if len(rows) > 1:
+            assert rows[0] < 160
+
+
+# Unpickles the mapInArrow functions as a fresh Python worker would, runs
+# them on one series and reports whether anything imported pandas.
+_PROBE = """
+import json, pickle, sys
+import pyarrow as pa
+per_series, label, chunked, stream = pickle.loads(sys.stdin.buffer.read())
+batch = pa.ipc.open_stream(stream).read_next_batch()
+rows = sum(b.num_rows for b in per_series(iter([batch])))
+labelled = pa.Table.from_batches(list(label(iter([batch]))))
+labelled = labelled.sort_by([("chunk", "ascending"), ("t", "ascending")])
+chunk_rows = sum(b.num_rows for b in chunked(iter(labelled.to_batches())))
+print(json.dumps({"rows": [rows, chunk_rows], "pandas": "pandas" in sys.modules}))
+"""
+
+
+def test_run_bodies_import_no_pandas():
+    from pyspark import cloudpickle
+
+    t, X, _, _ = gps_walk(200, seed=8)
+    # Spark sends batches as an Arrow stream; unpickling one imports pandas.
+    batch = pa.RecordBatch.from_arrays(
+        [pa.array(["s0"] * len(t)), pa.array(t), pa.array(X.tolist())], names=["series_id", "t", "v"]
+    )
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, batch.schema) as writer:
+        writer.write_batch(batch)
+    kernel = functools.partial(mtcsc_l, s=S)
+    fns = (
+        _runs(("series_id",), _clean(kernel)),
+        _runs(("series_id",), _label(50, 45.0)),
+        _runs(("series_id", "chunk"), _clean(kernel)),
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        input=cloudpickle.dumps((*fns, sink.getvalue().to_pybytes())),
+        capture_output=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(probe.stdout) == {"rows": [200, 200], "pandas": False}
 
 
 def _worker_runtime(_):
@@ -227,3 +445,14 @@ class TestMethodRegistry:
         ctx = Context(s=S)
         with pytest.raises(SkipMethod):
             METHODS["RCSWS"](np.arange(5.0), np.zeros((5, 3)), ctx)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("IPython") is None, reason="IPython not installed")
+def test_driver_does_not_import_ipython(spark, gps_small):
+    # PySpark's DataFrame call-site capture imports IPython on the first
+    # pyspark.sql.functions call; default_spark turns the capture off.
+    t, dirty, _, _ = gps_small
+    df = to_spark_long(spark, t, dirty)
+    clean_per_series(df, _reveal_group).count()
+    clean_chunked(df, _reveal_group, chunk_rows=300, warmup=45.0).count()
+    assert "IPython" not in sys.modules
