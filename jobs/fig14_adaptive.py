@@ -6,8 +6,9 @@ ends up best regardless of the initial setting; fixed-constraint methods
 started at walking/running over-repair the faster segments; LsGreedy is
 unaffected by s.
 
-Hyper-parameters from the paper, which are ``mtcsc_a``'s defaults:
-b=6, tau=0.75, m=150, beta=0.75.
+Hyper-parameters from the paper, which are ``mtcsc_a``'s module
+constants ``B``, ``TAU``, ``M`` and ``BETA``: b=6, tau=0.75, m=150,
+beta=0.75.
 
 Usage: spark-submit jobs/fig14_adaptive.py [--n 8000]
 """

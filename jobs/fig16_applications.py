@@ -17,13 +17,14 @@ import argparse
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro.core import SpeedConstraint
 from repro.core.spark_clean import clean_per_series
 from repro.datasets import CLASSIFICATION
 from repro.errors import inject_errors
 from repro.jobrun import default_spark
-from repro.methods import METHODS, Context, SkipMethod
+from repro.methods import METHODS, Context
 from repro.mining import kmeans, knn_classify, rand_index
 from repro.experiments import format_table
 
@@ -32,14 +33,9 @@ TRAIN_FRAC = 0.6
 SEED = 0
 
 
-def _clean_archive(spark, t, X3, method: str, s: SpeedConstraint) -> np.ndarray:
-    """Clean every series of an archive in parallel on Spark."""
-    fn = METHODS[method]
-    ctx = Context(s=s)
-
-    def kernel(tt, XX):
-        return fn(tt, XX, ctx)
-
+def _archive_frame(spark, t, X3) -> DataFrame:
+    """An archive's series as one long-format Spark frame; series ``i`` has
+    ``series_id`` ``str(i)``."""
     pdf = pd.concat(
         [
             pd.DataFrame(
@@ -49,7 +45,18 @@ def _clean_archive(spark, t, X3, method: str, s: SpeedConstraint) -> np.ndarray:
         ],
         ignore_index=True,
     )
-    df = spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf)
+
+
+def _clean_archive(df, X3, method: str, s: SpeedConstraint) -> np.ndarray:
+    """Clean every series of an archive (``df`` holds ``X3``) in parallel
+    on Spark."""
+    fn = METHODS[method]
+    ctx = Context(s=s)
+
+    def kernel(tt, XX):
+        return fn(tt, XX, ctx)
+
     out = clean_per_series(df, kernel).toPandas()
     X_clean = np.empty_like(X3)
     for sid, grp in out.groupby("series_id"):
@@ -93,12 +100,9 @@ def run_fig16(spark, *, rate: float = 0.10) -> pd.DataFrame:
             ]
         )
         s = SpeedConstraint(float(np.quantile(speeds, 0.90)) * 1.5, 10.0)
+        df = _archive_frame(spark, t, dirty)
         for method in CLEANERS:
-            try:
-                repaired = _clean_archive(spark, t, dirty, method, s)
-            except SkipMethod:
-                continue
-            score(repaired, method)
+            score(_clean_archive(df, dirty, method, s), method)
     return pd.DataFrame(rows)
 
 

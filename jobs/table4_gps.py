@@ -15,7 +15,7 @@ import pandas as pd
 
 from repro.core import SpeedConstraint
 from repro.datasets import gps_walk, true_speed
-from repro.experiments import format_table, sweep_embedded
+from repro.experiments import format_table, sweep_embedded_cases
 from repro.jobrun import default_spark
 from repro.methods import TABLE4_ORDER
 from repro.metrics import rmse
@@ -43,7 +43,8 @@ def run_table4(spark, *, n: int = 11_000, window: float = 45.0) -> pd.DataFrame:
     """Compute the Table 4 metrics on the synthetic GPS(Walk) data."""
     t, dirty, truth, mask = gps_walk(n)
     s = SpeedConstraint(true_speed("gps_walk"), window)
-    out = sweep_embedded(spark, t, dirty, truth, s, methods=TABLE4_ORDER)
+    case = ({}, t, dirty, truth, s)
+    out = sweep_embedded_cases(spark, [case], methods=TABLE4_ORDER)
     cols = ["method", "rmse", "repair_distance", "repair_number", "seconds"]
     dirty_row = ["Dirty", rmse(dirty, truth), 0.0, 0.0, 0.0]
     df = pd.concat(

@@ -56,14 +56,14 @@ def htd(
             thresh = float(rt.max()) * 1.05
         else:
             thresh = float(np.quantile(r, QUANTILE))
-        bad = np.nonzero(r > thresh)[0]
-        for i in bad:
+        flagged = r > thresh
+        for i in np.flatnonzero(flagged):
             # Interpolate from the nearest non-flagged neighbours.
             p = i - 1
-            while p in bad and p > 0:
+            while p > 0 and flagged[p]:
                 p -= 1
             m = i + 1
-            while m in bad and m < n - 1:
+            while m < n - 1 and flagged[m]:
                 m += 1
             if p >= 0 and m <= n - 1:
                 Xr[i, d] = interpolate(t[p], X[p, d], t[m], X[m, d], t[i])

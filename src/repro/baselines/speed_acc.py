@@ -20,15 +20,12 @@ from .screen import _screen_1d
 
 
 @as_cleaner
-def speed_acc(
-    t: np.ndarray, X: np.ndarray, s: SpeedConstraint, *, amax: float | None = None
-) -> np.ndarray:
-    """Run SpeedAcc per dimension; ``amax`` defaults to ``2*s/median(dt)``
-    (a loose acceleration bound when none is given).
+def speed_acc(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
+    """Run SpeedAcc per dimension under the loose acceleration bound
+    ``amax = 2*s/median(dt)``.
 
     Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    if amax is None:
-        dt_med = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
-        amax = 2.0 * s.smax / dt_med
+    dt_med = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
+    amax = 2.0 * s.smax / dt_med
     return np.column_stack([_screen_1d(t, x, s.smax, s.window, amax) for x in X.T])

@@ -8,8 +8,8 @@ KL divergence ``KL(W1 || W2)`` exceeds the threshold ``tau``, the series'
 character has changed and the constraint becomes
 ``s' = quantile95(W2) / beta`` (Example 4.1).
 
-Hyper-parameters (paper defaults, Section 5.4.3): b=6, tau=0.75, m=150,
-beta=0.75.
+The hyper-parameters are the module constants :data:`B`, :data:`TAU`,
+:data:`M` and :data:`BETA`, at the paper's settings (Section 5.4.3).
 """
 from __future__ import annotations
 
@@ -20,6 +20,15 @@ import numpy as np
 from .mtcsc_c import ClusterCleaner
 from .online import run
 from .speed import SpeedConstraint, as_cleaner, distance
+
+#: Buckets of the speed histogram: b-1 equal bins on [0, s] plus overflow.
+B = 6
+#: KL divergence KL(W1 || W2) above which the constraint is re-estimated.
+TAU = 0.75
+#: Speeds in each of the two monitor windows W1 and W2.
+M = 150
+#: The new constraint is quantile95(W2) / BETA.
+BETA = 0.75
 
 
 def bucket_edges(b: int, s: float) -> np.ndarray:
@@ -66,22 +75,15 @@ class AdaptiveSpeed:
     Counts are integers, so they equal :func:`bucketize` of each half.
     """
 
-    def __init__(
-        self,
-        s0: float,
-        *,
-        b: int = 6,
-        tau: float = 0.75,
-        m: int = 150,
-        beta: float = 0.75,
-    ):
+    def __init__(self, s0: float):
         self.s = float(s0)
-        self.b, self.tau, self.m, self.beta = b, tau, m, beta
+        # Read once: the deques below are sized by M.
+        self.b, self.tau, self.m, self.beta = B, TAU, M, BETA
         # W1 is the older half of the window, W2 the newer half.
-        self.window: deque[float] = deque(maxlen=2 * m)
-        self._edges = bucket_edges(b, self.s)
-        self._buckets: deque[int] = deque(maxlen=2 * m)  # of each speed at s
-        self._counts = [[0] * b, [0] * b]  # W1's and W2's
+        self.window: deque[float] = deque(maxlen=2 * M)
+        self._edges = bucket_edges(B, self.s)
+        self._buckets: deque[int] = deque(maxlen=2 * M)  # of each speed at s
+        self._counts = [[0] * B, [0] * B]  # W1's and W2's
         self._kl: float | None = None  # KL(W1 || W2) of the counts, if known
         self.n_updates = 0  # number of constraint changes (for tests/metrics)
 
@@ -126,17 +128,9 @@ class AdaptiveCleaner(ClusterCleaner):
     # ClusterCleaner.RESETS_STALE_ANCHOR.
     RESETS_STALE_ANCHOR = True
 
-    def __init__(
-        self,
-        s: SpeedConstraint,
-        *,
-        b: int = 6,
-        tau: float = 0.75,
-        m: int = 150,
-        beta: float = 0.75,
-    ):
+    def __init__(self, s: SpeedConstraint):
         super().__init__(s)
-        self._adaptive = AdaptiveSpeed(s.smax, b=b, tau=tau, m=m, beta=beta)
+        self._adaptive = AdaptiveSpeed(s.smax)
         self._last_raw_t: float | None = None
         self._last_raw_x: np.ndarray | None = None
 
@@ -167,18 +161,9 @@ class AdaptiveCleaner(ClusterCleaner):
 
 
 @as_cleaner
-def mtcsc_a(
-    t: np.ndarray,
-    X: np.ndarray,
-    s: SpeedConstraint,
-    *,
-    b: int = 6,
-    tau: float = 0.75,
-    m: int = 150,
-    beta: float = 0.75,
-) -> np.ndarray:
+def mtcsc_a(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> np.ndarray:
     """Batch MTCSC-A.
 
     Returns ``(X_repaired, changed_mask)`` (see :func:`as_cleaner`).
     """
-    return run(AdaptiveCleaner(s, b=b, tau=tau, m=m, beta=beta), t, X)
+    return run(AdaptiveCleaner(s), t, X)

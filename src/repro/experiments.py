@@ -171,22 +171,6 @@ def sweep_embedded_cases(
     return _sweep(spark, series, cells)
 
 
-def sweep_embedded(
-    spark: SparkSession,
-    t: np.ndarray,
-    dirty: np.ndarray,
-    truth: np.ndarray,
-    s: SpeedConstraint,
-    *,
-    methods: Sequence[str],
-) -> pd.DataFrame:
-    """:func:`sweep_embedded_cases` of one unlabelled series.
-
-    Rows follow the order of ``methods``.
-    """
-    return sweep_embedded_cases(spark, [({}, t, dirty, truth, s)], methods=methods)
-
-
 def aggregate_over_seeds(df: pd.DataFrame) -> pd.DataFrame:
     """Average metrics over seeds, skipped cells dropped.
 

@@ -6,6 +6,8 @@ speed monitor moves the constraint.  The reference in
 ``tests/scalar_reference.py`` makes every check one scalar distance at a
 time, for every key point.
 """
+import importlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -34,6 +36,8 @@ from repro.errors import inject_errors
 from . import scalar_reference as ref
 
 GPS = SpeedConstraint(1.6, 45.0)
+# The module, not the function ``repro.core.mtcsc_a`` re-exported under its name.
+MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
 
 
 def _gps_walk():
@@ -80,11 +84,12 @@ def test_cleaner_equals_scalar_reference(data, fn, ref_fn):
 
 
 @pytest.mark.parametrize("data", list(DATASETS))
-def test_adaptive_state_equals_scalar_reference(data):
+def test_adaptive_state_equals_scalar_reference(data, monkeypatch):
     """With a short monitor window the constraint moves; the band is
     re-thresholded on every move, so repairs and state still match."""
     t, X, s = DATASETS[data]()
-    got, want = AdaptiveCleaner(s, m=100), ref.AdaptiveCleaner(s, m=100)
+    monkeypatch.setattr(MTCSC_A, "M", 100)
+    got, want = AdaptiveCleaner(s), ref.AdaptiveCleaner(s, m=100)
     pairs = []
     for i in range(len(t)):
         pairs += got.feed(t[i : i + 1], X[i : i + 1])
@@ -153,11 +158,13 @@ def test_feed_rejects_bad_block_atomically(cls):
         cleaner.feed(t[-1:], X[-1:])
 
 
-def test_speed_monitor_equals_scalar_reference():
+def test_speed_monitor_equals_scalar_reference(monkeypatch):
     """Counts slid per speed equal both halves bucketed afresh."""
     g = np.random.default_rng(0)
     speeds = np.concatenate([g.random(400) * 1.5, 3 + g.random(400) * 2, g.random(400)])
-    got = AdaptiveSpeed(1.6, m=60, tau=0.3)
+    monkeypatch.setattr(MTCSC_A, "M", 60)
+    monkeypatch.setattr(MTCSC_A, "TAU", 0.3)
+    got = AdaptiveSpeed(1.6)
     want = ref.AdaptiveSpeed(1.6, m=60, tau=0.3)
     for v in speeds:
         assert got.observe(v) == want.observe(v)

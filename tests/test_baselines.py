@@ -1,7 +1,11 @@
 """Baseline cleaners: interface contracts + method-specific behaviour."""
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from repro import baselines
 from repro.baselines import (
     caem_proxy,
     ewma,
@@ -131,7 +135,7 @@ class TestSpeedAcc:
     def test_acceleration_tightens_or_equals_screen(self):
         t, X, truth, idx = _spiky_series(seed=5)
         Xs, chs = screen(t, X, S)
-        Xa, cha = speed_acc(t, X, S, amax=0.5)
+        Xa, cha = speed_acc(t, X, S)
         assert cha.sum() >= chs.sum() - 2  # comparable repair activity
 
 
@@ -178,14 +182,12 @@ class TestEwma:
         Xr, ch = ewma(t, X)
         assert not ch[0]
 
-    def test_lambda_one_identity(self):
+    def test_lambda_one_identity(self, monkeypatch):
+        # The module, not the function re-exported under its name.
+        monkeypatch.setattr(importlib.import_module("repro.baselines.ewma"), "LAM", 1.0)
         t, X, truth, idx = _spiky_series(seed=9)
-        Xr, ch = ewma(t, X, lam=1.0)
+        Xr, ch = ewma(t, X)
         assert not ch.any()
-
-    def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            ewma(np.arange(3.0), np.zeros((3, 1)), lam=0.0)
 
 
 class TestHtd:
@@ -206,6 +208,19 @@ class TestHtd:
         x[3] = 50.0
         Xr, ch = htd(t, x)
         assert ch[3] and abs(Xr[3, 0]) < 1e-6
+
+    def test_run_interpolated_between_unflagged_neighbours(self):
+        # Clean data on a line: every nonzero residual is flagged.  The run
+        # of errors at 3..5 also lifts the residuals of cells 2 and 6, so
+        # cells 2..6 are flagged and each is interpolated between cells 1
+        # and 7, which puts it back on the line (cells 2 and 6 do not move).
+        t = np.arange(10.0)
+        truth = np.column_stack([2 * t + 1, np.full(10, 4.0)])
+        X = truth.copy()
+        X[3:6, 0] += [10.0, 30.0, 20.0]
+        Xr, ch = htd(t, X, truth=truth)
+        np.testing.assert_array_equal(np.flatnonzero(ch), [3, 4, 5])
+        np.testing.assert_allclose(Xr, truth, rtol=0, atol=1e-12)
 
 
 class TestRcsws:
@@ -271,3 +286,15 @@ class TestDlProxies:
         t, X, truth, idx = _spiky_series(n=300, seed=17, n_err=3, mag=40)
         Xr, _ = caem_proxy(t, X)
         assert np.abs(Xr[idx] - X[idx]).max() > 1.0  # spikes were altered
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [mtcsc_g, mtcsc_l, mtcsc_c, mtcsc_a, mtcsc_uni]
+    + [getattr(baselines, name) for name in baselines.__all__],
+    ids=lambda fn: fn.__name__,
+)
+def test_no_tuning_keywords(fn):
+    """Every cleaner runs at its module's settings: it takes the series,
+    the speed constraint and the labels, and nothing to tune."""
+    assert set(inspect.signature(fn).parameters) <= {"t", "X", "s", "truth"}

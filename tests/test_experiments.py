@@ -10,7 +10,7 @@ from repro.experiments import (
     aggregate_over_seeds,
     format_table,
     sweep_cases,
-    sweep_embedded,
+    sweep_embedded_cases,
     sweep_injected,
 )
 from repro.methods import METHODS, Context, SkipMethod
@@ -73,12 +73,9 @@ class TestSweepEmbedded:
         repairs few points."""
         t, dirty, truth, mask = gps_walk(3000, seed=0)
         s = SpeedConstraint(1.6, 45.0)
-        out = sweep_embedded(
+        out = sweep_embedded_cases(
             spark,
-            t,
-            dirty,
-            truth,
-            s,
+            [({}, t, dirty, truth, s)],
             methods=["MTCSC-C", "MTCSC-L", "MTCSC-G", "EWMA", "HTD"],
         )
         row = {r["method"]: r for _, r in out.iterrows()}
@@ -93,7 +90,7 @@ class TestSweepEmbedded:
         t, dirty, truth, mask = gps_walk(600, seed=1)
         s = SpeedConstraint(1.6, 30.0)
         methods = ["EWMA", "MTCSC-L", "HTD"]
-        out = sweep_embedded(spark, t, dirty, truth, s, methods=methods)
+        out = sweep_embedded_cases(spark, [({}, t, dirty, truth, s)], methods=methods)
         assert list(out["method"]) == methods
 
 
@@ -113,7 +110,9 @@ def test_sweep_equals_serial_replay(spark, sweep):
         cells = sorted((m, r, sd) for m in methods for r in rates for sd in seeds)
     else:
         embedded, _ = inject_errors(truth, 0.1, seed=7)
-        out = sweep_embedded(spark, t, embedded, truth, s, methods=methods)
+        out = sweep_embedded_cases(
+            spark, [({}, t, embedded, truth, s)], methods=methods
+        )
         cells = [(m, 0.0, 0) for m in methods]
     metrics = ["rmse", "repair_distance", "repair_number", "repair_fraction"]
     assert list(out.columns) == [

@@ -1,10 +1,22 @@
 """MTCSC-A: bucketing, KL, adaptive constraint updates, end-to-end."""
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core import AdaptiveCleaner, AdaptiveSpeed, SpeedConstraint, mtcsc_a
 from repro.core.mtcsc_a import bucketize, kl_divergence
 from repro.datasets import gps_mixed
+
+# The module, not the function ``repro.core.mtcsc_a`` re-exported under its name.
+MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
+
+
+def _set_constants(monkeypatch, **values):
+    """Set Algorithm 5's module constants (``B``, ``TAU``, ``M``, ``BETA``)
+    for one test; cleaners built afterwards read them."""
+    for name, value in values.items():
+        monkeypatch.setattr(MTCSC_A, name, value)
 
 
 class TestBucketize:
@@ -51,16 +63,18 @@ class TestKL:
 
 
 class TestAdaptiveSpeed:
-    def test_no_update_on_stationary_stream(self):
-        a = AdaptiveSpeed(2.0, m=50)
+    def test_no_update_on_stationary_stream(self, monkeypatch):
+        _set_constants(monkeypatch, M=50)
+        a = AdaptiveSpeed(2.0)
         g = np.random.default_rng(2)
         for _ in range(500):
             a.observe(g.random() * 1.5)
         assert a.n_updates == 0
         assert a.s == 2.0
 
-    def test_update_on_mode_change(self):
-        a = AdaptiveSpeed(1.6, m=50, tau=0.75, beta=0.75)
+    def test_update_on_mode_change(self, monkeypatch):
+        _set_constants(monkeypatch, M=50)
+        a = AdaptiveSpeed(1.6)
         g = np.random.default_rng(3)
         for _ in range(200):
             a.observe(0.5 + g.random())  # walking speeds < 1.6
@@ -69,8 +83,9 @@ class TestAdaptiveSpeed:
         assert a.n_updates >= 1
         assert a.s > 1.6
 
-    def test_updated_speed_is_quantile_over_beta(self):
-        a = AdaptiveSpeed(1.0, m=20, tau=0.1, beta=0.5)
+    def test_updated_speed_is_quantile_over_beta(self, monkeypatch):
+        _set_constants(monkeypatch, M=20, TAU=0.1, BETA=0.5)
+        a = AdaptiveSpeed(1.0)
         for _ in range(20):
             a.observe(0.5)
         for _ in range(21):
@@ -85,7 +100,7 @@ class TestMtcscA:
         with pytest.raises(ValueError, match="rows but X has"):
             mtcsc_a(np.arange(float(n_t)), np.zeros((n_x, 1)), SpeedConstraint(1, 1))
 
-    def test_matches_c_when_no_update_fires(self):
+    def test_matches_c_when_no_update_fires(self, monkeypatch):
         # With an unreachable KL threshold the constraint never updates,
         # so MTCSC-A degenerates to MTCSC-C exactly.
         from repro.core import mtcsc_c
@@ -96,7 +111,8 @@ class TestMtcscA:
         X = np.cumsum(g.normal(0, 0.2, (n, 2)), axis=0)
         X[40] += 10
         s = SpeedConstraint(1.0, 10.0)
-        Xa, cha = mtcsc_a(t, X, s, m=30, tau=1e9)
+        _set_constants(monkeypatch, M=30, TAU=1e9)
+        Xa, cha = mtcsc_a(t, X, s)
         Xc, chc = mtcsc_c(t, X, s)
         np.testing.assert_array_equal(Xa, Xc)
         np.testing.assert_array_equal(cha, chc)
@@ -111,12 +127,13 @@ class TestMtcscA:
         t, dirty, truth, mask, mode = gps_mixed(2400, seed=7)
         s_walk = SpeedConstraint(1.6, 45.0)
         Xc, _ = mtcsc_c(t, dirty, s_walk)
-        Xa, _ = mtcsc_a(t, dirty, s_walk, m=150, tau=0.75, b=6, beta=0.75)
+        Xa, _ = mtcsc_a(t, dirty, s_walk)
         assert rmse(Xa, truth) < rmse(Xc, truth)
 
-    def test_speed_update_counter_exposed(self):
+    def test_speed_update_counter_exposed(self, monkeypatch):
         t, dirty, truth, mask, mode = gps_mixed(2400, seed=8)
-        cleaner = AdaptiveCleaner(SpeedConstraint(1.6, 45.0), m=100)
+        _set_constants(monkeypatch, M=100)
+        cleaner = AdaptiveCleaner(SpeedConstraint(1.6, 45.0))
         for i in range(len(t)):
             cleaner.feed(t[i : i + 1], dirty[i : i + 1])
         cleaner.flush()
