@@ -42,8 +42,6 @@ os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
@@ -58,9 +56,9 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The session configs honoured post-launch (Arrow) are
-    those of :func:`repro.jobrun.default_spark`, the recipe the jobs and
-    the benchmark use.
+    pre-JVM-launch). Every other setting (driver host, UI, Arrow, worker
+    daemon) is that of :func:`repro.jobrun.default_spark`, the recipe the
+    jobs and the benchmark use, which hands it to the JVM at launch.
     """
     s = default_spark("repro")
     # One line in the test output that tells whether the cgroup

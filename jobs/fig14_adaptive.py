@@ -14,14 +14,12 @@ Usage: spark-submit jobs/fig14_adaptive.py [--n 8000]
 """
 from __future__ import annotations
 
-import argparse
-
 import pandas as pd
 
 from repro.core import SpeedConstraint
 from repro.datasets import gps_mixed
-from repro.experiments import format_table, sweep_embedded_cases
-from repro.jobrun import default_spark
+from repro.experiments import sweep_embedded_cases
+from repro.jobrun import main
 from repro.metrics import rmse as rmse_fn
 
 METHODS = ["MTCSC-A", "MTCSC-C", "MTCSC-G", "SCREEN", "LsGreedy", "EWMA", "RCSWS"]
@@ -41,13 +39,5 @@ def run_fig14(spark, *, n: int = 8_000) -> pd.DataFrame:
     return df
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=8_000)
-    args = ap.parse_args()
-    spark = default_spark("fig14-adaptive")
-    print(format_table(run_fig14(spark, n=args.n)))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_fig14)

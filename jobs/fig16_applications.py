@@ -13,8 +13,6 @@ Usage: spark-submit jobs/fig16_applications.py
 """
 from __future__ import annotations
 
-import argparse
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -23,12 +21,12 @@ from repro.core import SpeedConstraint
 from repro.core.spark_clean import clean_per_series
 from repro.datasets import CLASSIFICATION
 from repro.errors import inject_errors
-from repro.jobrun import default_spark
+from repro.jobrun import main
 from repro.methods import METHODS, Context
 from repro.mining import kmeans, knn_classify, rand_index
-from repro.experiments import format_table
 
 CLEANERS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "LsGreedy", "EWMA"]
+RATE = 0.10
 TRAIN_FRAC = 0.6
 SEED = 0
 
@@ -65,7 +63,7 @@ def _clean_archive(df, X3, method: str, s: SpeedConstraint) -> np.ndarray:
     return X_clean
 
 
-def run_fig16(spark, *, rate: float = 0.10) -> pd.DataFrame:
+def run_fig16(spark) -> pd.DataFrame:
     rows = []
     for name, gen in CLASSIFICATION.items():
         X, y = gen()
@@ -78,7 +76,7 @@ def run_fig16(spark, *, rate: float = 0.10) -> pd.DataFrame:
         dirty = X[tr].copy()
         for i in range(len(dirty)):
             dirty[i], _ = inject_errors(
-                dirty[i], rate, pattern="together", seed=SEED * 1000 + i
+                dirty[i], RATE, pattern="together", seed=SEED * 1000 + i
             )
         k_classes = len(np.unique(y))
 
@@ -106,13 +104,5 @@ def run_fig16(spark, *, rate: float = 0.10) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--rate", type=float, default=0.10)
-    args = ap.parse_args()
-    spark = default_spark("fig16-applications")
-    print(format_table(run_fig16(spark, rate=args.rate)))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_fig16)

@@ -9,14 +9,12 @@ Usage: spark-submit jobs/fig6_ild_error_rate.py [--n 43000] [--seeds 10]
 """
 from __future__ import annotations
 
-import argparse
-
 import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ild
-from repro.experiments import format_table, sweep_cases
-from repro.jobrun import default_spark
+from repro.experiments import sweep_cases
+from repro.jobrun import main
 
 METHODS = [
     "MTCSC-C",
@@ -46,14 +44,5 @@ def run_fig6(spark, *, n: int = 43_000, seeds: int = 10) -> pd.DataFrame:
     )
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=43_000)
-    ap.add_argument("--seeds", type=int, default=10)
-    args = ap.parse_args()
-    spark = default_spark("fig6-ild")
-    print(format_table(run_fig6(spark, n=args.n, seeds=args.seeds)))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_fig6)

@@ -3,18 +3,16 @@
 Paper shape: MTCSC scales linearly, keeps high accuracy, repairs ~5% of
 points at every size (tracking the injected fraction).
 
-Usage: spark-submit jobs/fig7_ild_size.py [--sizes 5000,10000,20000,40000]
+Usage: spark-submit jobs/fig7_ild_size.py [--sizes 5000,10000,20000,40000] [--seeds 5]
 """
 from __future__ import annotations
-
-import argparse
 
 import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ild
-from repro.experiments import format_table, sweep_cases
-from repro.jobrun import default_spark
+from repro.experiments import sweep_cases
+from repro.jobrun import main
 
 METHODS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA", "HoloClean", "TranAD", "CAE-M"]
 RATE = 0.05
@@ -32,15 +30,5 @@ def run_fig7(
     return sweep_cases(spark, cases, methods=METHODS, rates=[RATE], seeds=range(seeds))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", type=str, default="5000,10000,20000,40000")
-    ap.add_argument("--seeds", type=int, default=5)
-    args = ap.parse_args()
-    sizes = [int(x) for x in args.sizes.split(",")]
-    spark = default_spark("fig7-ild-size")
-    print(format_table(run_fig7(spark, sizes=sizes, seeds=args.seeds)))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_fig7)

@@ -8,14 +8,12 @@ Usage: spark-submit jobs/fig9_patterns.py [--n 20000] [--seeds 5]
 """
 from __future__ import annotations
 
-import argparse
-
 import pandas as pd
 
 from repro.core import SpeedConstraint, estimate_speed
 from repro.datasets import ecg, tao
-from repro.experiments import format_table, sweep_cases
-from repro.jobrun import default_spark
+from repro.experiments import sweep_cases
+from repro.jobrun import main
 
 METHODS = ["MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA"]
 RATES = [0.05, 0.10, 0.20]
@@ -32,14 +30,5 @@ def run_fig9(spark, *, n: int = 20_000, seeds: int = 5) -> pd.DataFrame:
     return sweep_cases(spark, cases, methods=METHODS, rates=RATES, seeds=range(seeds))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=20_000)
-    ap.add_argument("--seeds", type=int, default=5)
-    args = ap.parse_args()
-    spark = default_spark("fig9-patterns")
-    print(format_table(run_fig9(spark, n=args.n, seeds=args.seeds)))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_fig9)

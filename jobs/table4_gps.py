@@ -5,20 +5,20 @@ number per method, with the dirty baseline.  Paper numbers are printed
 alongside for direct comparison (absolute values differ — synthetic
 trajectory — the method ordering is the reproduction target).
 
-Usage: spark-submit jobs/table4_gps.py [--n 11000] [--window 45]
+Usage: spark-submit jobs/table4_gps.py [--n 11000]
 """
 from __future__ import annotations
-
-import argparse
 
 import pandas as pd
 
 from repro.core import SpeedConstraint
-from repro.datasets import gps_walk, true_speed
-from repro.experiments import format_table, sweep_embedded_cases
-from repro.jobrun import default_spark
+from repro.datasets import GPS_WALK_SPEED, gps_walk
+from repro.experiments import sweep_embedded_cases
+from repro.jobrun import main
 from repro.methods import TABLE4_ORDER
 from repro.metrics import rmse
+
+WINDOW = 45.0
 
 #: Table 4 of the paper (RMSE / repair distance / repair number).
 PAPER_TABLE4 = {
@@ -39,10 +39,10 @@ PAPER_TABLE4 = {
 }
 
 
-def run_table4(spark, *, n: int = 11_000, window: float = 45.0) -> pd.DataFrame:
+def run_table4(spark, *, n: int = 11_000) -> pd.DataFrame:
     """Compute the Table 4 metrics on the synthetic GPS(Walk) data."""
     t, dirty, truth, mask = gps_walk(n)
-    s = SpeedConstraint(true_speed("gps_walk"), window)
+    s = SpeedConstraint(GPS_WALK_SPEED, WINDOW)
     case = ({}, t, dirty, truth, s)
     out = sweep_embedded_cases(spark, [case], methods=TABLE4_ORDER)
     cols = ["method", "rmse", "repair_distance", "repair_number", "seconds"]
@@ -56,15 +56,5 @@ def run_table4(spark, *, n: int = 11_000, window: float = 45.0) -> pd.DataFrame:
     return df
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=11_000)
-    ap.add_argument("--window", type=float, default=45.0)
-    args = ap.parse_args()
-    spark = default_spark("table4-gps")
-    df = run_table4(spark, n=args.n, window=args.window)
-    print(format_table(df))
-
-
 if __name__ == "__main__":
-    main()
+    main(run_table4)

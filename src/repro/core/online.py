@@ -62,11 +62,17 @@ class OnlineCleaner:
     def feed(self, t, X) -> list[tuple[float, np.ndarray]]:
         """Add a block of points; return the ``(t, x_repaired)`` pairs it completes.
 
-        The block passes :func:`~repro.core.speed.as_series` and must start
-        after the last point fed; a rejected block leaves no trace.
+        The block passes :func:`~repro.core.speed.as_series`, must start
+        after the last point fed and must have as many dimensions as the
+        points fed before it, also across :meth:`flush`; a rejected block
+        leaves no trace.
         """
         t, X = as_series(t, X)
         last = self._t[-1] if len(self._t) else self._prev_t
+        if last is not None and X.shape[1] != self._X.shape[1]:
+            raise ValueError(
+                f"X has {X.shape[1]} dimensions but the stream has {self._X.shape[1]}"
+            )
         if last is not None and len(t) and t[0] <= last:
             raise ValueError("timestamps must be strictly increasing")
         ts = np.concatenate((self._t, t))

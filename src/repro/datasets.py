@@ -7,10 +7,6 @@ All generators return numpy arrays ``(t, X)`` with ``t`` of shape
 ``(n,)`` (unit-spaced) and ``X`` of shape ``(n, D)``; classification
 sets return ``(X_3d, y)`` with ``X_3d`` of shape
 ``(n_series, length, D)``.
-
-``true_speed(name)`` exposes the generator's genuine speed bound so
-experiments can set the constraint the way the paper does with domain
-knowledge.
 """
 from __future__ import annotations
 
@@ -172,6 +168,11 @@ def gps_walk(
     return np.arange(n, dtype=float), dirty, truth, mask
 
 
+#: The walking speed constraint (m/s) the paper sets on GPS(Walk) from
+#: domain knowledge (Section 5.4.3).
+GPS_WALK_SPEED = 1.6
+
+
 def gps_mixed(
     n: int = 8_000, *, seed: int = 5
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -266,30 +267,6 @@ def swj(*, seed: int = 9) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Registry
-
-#: True (generator-level) speed bound per long-series dataset, for setting
-#: the constraint from domain knowledge as the paper does.
-_TRUE_SPEED = {
-    "stock": None,  # estimated from data (paper: 95% confidence)
-    "ild": None,
-    "tao": None,
-    "ecg": None,
-    "gps_walk": 1.6,  # paper Section 5.4.3 walking constraint
-    "gps_mixed": 5.0,
-}
-
-
-def true_speed(name: str) -> float | None:
-    """Domain-knowledge speed bound, or None when it must be estimated."""
-    return _TRUE_SPEED[name]
-
-
-LONG_SERIES = {
-    "stock": stock,
-    "ild": ild,
-    "tao": tao,
-    "ecg": ecg,
-}
 
 CLASSIFICATION = {
     "arrowhead": arrowhead,

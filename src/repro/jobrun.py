@@ -1,7 +1,10 @@
 """Shared plumbing for the ``jobs/`` spark-submit entrypoints."""
 from __future__ import annotations
 
+import argparse
+import inspect
 import os
+from pathlib import Path
 
 from pyspark.sql import SparkSession
 
@@ -30,3 +33,36 @@ def default_spark(app: str) -> SparkSession:
         .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def parser(run) -> argparse.ArgumentParser:
+    """The command line of a job: one flag ``--<name>`` per keyword-only
+    parameter of ``run``, defaulting to the parameter's default and parsed
+    with its type; a tuple default takes a comma list of ints."""
+    ap = argparse.ArgumentParser()
+    for p in inspect.signature(run).parameters.values():
+        if p.kind is p.KEYWORD_ONLY:
+            d = p.default
+            many = isinstance(d, tuple)
+            ap.add_argument(
+                f"--{p.name}",
+                type=_ints if many else type(d),
+                default=d,
+                help="default: " + (",".join(map(str, d)) if many else str(d)),
+            )
+    return ap
+
+
+def main(run) -> None:
+    """Run a job from the command line: parse its flags (see :func:`parser`),
+    then start a Spark session named after the job's file and print the
+    table ``run(spark, **flags)`` returns."""
+    from .experiments import format_table
+
+    flags = vars(parser(run).parse_args())
+    spark = default_spark(Path(inspect.getfile(run)).stem)
+    print(format_table(run(spark, **flags)))

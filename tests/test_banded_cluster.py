@@ -158,6 +158,29 @@ def test_feed_rejects_bad_block_atomically(cls):
         cleaner.feed(t[-1:], X[-1:])
 
 
+@pytest.mark.parametrize("cls", [LocalCleaner, ClusterCleaner, AdaptiveCleaner])
+def test_feed_rejects_other_dimension_count(cls):
+    """A block whose dimension count differs from the stream's raises
+    before it changes the cleaner, with points in the window and after
+    ``flush`` alike (there the gap exceeds ``w``, so no pair check would
+    compare the two blocks' points)."""
+    s = SpeedConstraint(1.0, 3.0)
+    t = np.arange(12, dtype=float)
+    t[5:] += 10.0
+    X = np.cumsum(np.full((12, 2), 0.3), axis=0)
+    X[7] += 5.0
+    cleaner = cls(s)
+    pairs = cleaner.feed(t[:3], X[:3])
+    with pytest.raises(ValueError, match="dimensions"):
+        cleaner.feed(t[3:5], np.zeros((2, 3)))
+    pairs += cleaner.feed(t[3:5], X[3:5]) + cleaner.flush()
+    with pytest.raises(ValueError, match="dimensions"):
+        cleaner.feed(t[5:], np.zeros((7, 3)))
+    pairs += cleaner.feed(t[5:], X[5:]) + cleaner.flush()
+    assert [tk for tk, _ in pairs] == t.tolist()
+    assert_bits_equal(np.vstack([x for _, x in pairs]), run(cls(s), t, X))
+
+
 def test_speed_monitor_equals_scalar_reference(monkeypatch):
     """Counts slid per speed equal both halves bucketed afresh."""
     g = np.random.default_rng(0)

@@ -72,11 +72,15 @@ class TestInjectErrors:
 
 class TestLongSeries:
     @pytest.mark.parametrize(
-        "name,n,d",
-        [("stock", 500, 1), ("ild", 500, 3), ("tao", 500, 3)],
+        "gen,n,d",
+        [
+            pytest.param(datasets.stock, 500, 1, id="stock-500-1"),
+            pytest.param(datasets.ild, 500, 3, id="ild-500-3"),
+            pytest.param(datasets.tao, 500, 3, id="tao-500-3"),
+        ],
     )
-    def test_shapes(self, name, n, d):
-        t, X = datasets.LONG_SERIES[name](n)
+    def test_shapes(self, gen, n, d):
+        t, X = gen(n)
         assert t.shape == (n,) and X.shape == (n, d)
         assert np.all(np.diff(t) > 0)
 
@@ -84,10 +88,17 @@ class TestLongSeries:
         t, X = datasets.ecg(400, 8)
         assert X.shape == (400, 8)
 
-    @pytest.mark.parametrize("name", ["stock", "ild", "tao"])
-    def test_deterministic(self, name):
-        t1, X1 = datasets.LONG_SERIES[name](200)
-        t2, X2 = datasets.LONG_SERIES[name](200)
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            pytest.param(datasets.stock, id="stock"),
+            pytest.param(datasets.ild, id="ild"),
+            pytest.param(datasets.tao, id="tao"),
+        ],
+    )
+    def test_deterministic(self, gen):
+        t1, X1 = gen(200)
+        t2, X2 = gen(200)
         np.testing.assert_array_equal(X1, X2)
 
     def test_ild_channels_correlated(self):
@@ -133,9 +144,10 @@ class TestGps:
         # Fast segment really is faster than the walk segment.
         assert np.median(sp[mode[:-1] == 2]) > np.median(sp[mode[:-1] == 0])
 
-    def test_true_speed_registry(self):
-        assert datasets.true_speed("gps_walk") == 1.6
-        assert datasets.true_speed("stock") is None
+    def test_walk_speed_constant(self):
+        """The paper's walking constraint (Section 5.4.3), above the
+        generator's 1.4 m/s cap (``test_walk_truth_within_speed``)."""
+        assert datasets.GPS_WALK_SPEED == 1.6
 
 
 class TestClassificationSets:

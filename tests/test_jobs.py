@@ -2,13 +2,19 @@
 
 Each job's core function must run end-to-end on the session Spark and
 produce the table it claims; shape assertions on the paper's qualitative
-claims live here where cheap enough.
+claims live here where cheap enough.  Each Spark job's command line is
+``repro.jobrun.main``'s, built from its ``run_*`` function's keywords.
 """
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.jobrun import parser
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
@@ -29,6 +35,56 @@ def test_every_job_has_a_smoke_test():
     assert {p.stem for p in JOBS.glob("*.py")} - set(globals()) == set()
 
 
+#: Each Spark job's ``run_*`` function and the flags of its command line,
+#: with their defaults (the paper's settings).
+COMMAND_LINES = {
+    "table4_gps": (table4_gps.run_table4, {"n": 11_000}),
+    "fig5_stock": (fig5_stock.run_fig5, {"n": 12_000, "seeds": 10}),
+    "fig6_ild_error_rate": (fig6_ild_error_rate.run_fig6, {"n": 43_000, "seeds": 10}),
+    "fig7_ild_size": (
+        fig7_ild_size.run_fig7,
+        {"sizes": (5_000, 10_000, 20_000, 40_000), "seeds": 5},
+    ),
+    "fig9_patterns": (fig9_patterns.run_fig9, {"n": 20_000, "seeds": 5}),
+    "fig13_dimension": (
+        fig13_dimension.run_fig13,
+        {"n": 10_000, "dims": (2, 4, 8, 16, 32), "seeds": 3},
+    ),
+    "fig14_adaptive": (fig14_adaptive.run_fig14, {"n": 8_000}),
+    "fig16_applications": (fig16_applications.run_fig16, {}),
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("job", sorted(COMMAND_LINES))
+    def test_no_arguments_give_run_defaults(self, job):
+        run, defaults = COMMAND_LINES[job]
+        assert vars(parser(run).parse_args([])) == (run.__kwdefaults__ or {}) == defaults
+
+    def test_flags_parse_with_the_default_type(self):
+        args = parser(fig7_ild_size.run_fig7).parse_args(["--sizes", "600,300", "--seeds", "2"])
+        assert args.sizes == (600, 300) and args.seeds == 2
+        assert parser(fig13_dimension.run_fig13).parse_args(["--dims", "4"]).dims == (4,)
+
+    @pytest.mark.parametrize("job", sorted(COMMAND_LINES))
+    def test_help_starts_no_spark(self, job):
+        """``--help`` lists the job's flags and exits before Spark starts:
+        with ``JAVA_HOME`` pointing nowhere, starting Spark would fail."""
+        src = str(JOBS.parent / "src")
+        env = {
+            **os.environ,
+            "JAVA_HOME": "/nonexistent",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = subprocess.run(
+            [sys.executable, str(JOBS / f"{job}.py"), "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        flags = set(re.findall(r"--(\w+)", out.stdout)) - {"help"}
+        assert flags == set(COMMAND_LINES[job][1])
+
+
 class TestTable2:
     def test_rows_match_paper_catalogue(self):
         rows = table2_rows = table2_datasets.table2_rows(scale=0.02)
@@ -43,7 +99,7 @@ class TestTable2:
 
 class TestTable4:
     def test_small_run_has_all_methods(self, spark):
-        df = table4_gps.run_table4(spark, n=800, window=30.0)
+        df = table4_gps.run_table4(spark, n=800)
         assert list(df["method"])[0] == "Dirty"
         assert len(df) == len(table4_gps.PAPER_TABLE4)
         assert np.isfinite(df["rmse"]).all()
@@ -166,7 +222,7 @@ class TestFig16:
         monkeypatch.setattr(
             fig16_applications, "CLASSIFICATION", {"arrowhead": ds.arrowhead}
         )
-        df = fig16_applications.run_fig16(spark, rate=0.10)
+        df = fig16_applications.run_fig16(spark)
         labels = set(df["train_data"])
         assert {"Clean", "Dirty", "MTCSC-C", "EWMA"} <= labels
         by = {r["train_data"]: r for _, r in df.iterrows()}

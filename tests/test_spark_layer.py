@@ -416,6 +416,10 @@ class TestWorkerRuntime:
             entries = path + zips + [file]
             assert [p for p in entries if p.startswith(lib) or ".jar" in p] == []
             assert version == pyspark.__version__
+        # Set by default_spark alone, before the JVM starts.
+        conf = spark.sparkContext.getConf()
+        assert conf.get("spark.driver.host") == "127.0.0.1"
+        assert conf.get("spark.ui.enabled") == "false"
 
     def test_add_py_file_imports_in_task(self, spark, tmp_path):
         # Files shipped with addPyFile land on the worker's path per task,
