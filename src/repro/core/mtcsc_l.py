@@ -8,6 +8,12 @@ previous repair and places ``x'_k`` on the line between them
 (formula 6, Prop. 3.2 guarantees soundness).  If no such point exists,
 ``x'_k`` falls back to the previous repaired value.
 
+While the previous repair is the raw ``x_{k-1}``, the check of ``x_k``
+reads raw data only, so the checks of every consecutive pair are made
+in one vectorised pass per feed, and a run of passing pairs is kept with
+no per-point work.  The per-point rule runs from a failing pair until a
+point is kept raw again.
+
 Complexity O(wDn); constant space beyond the window.
 """
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .speed import (
     as_cleaner,
     interpolate,
     pair_checks,
-    satisfy,
     within_bound,
 )
 
@@ -29,15 +34,53 @@ class LocalCleaner(OnlineCleaner):
     """Incremental MTCSC-L: the key point's repair anchors on its first
     compatible successor."""
 
-    def decide(self, ts, xs, hi):
-        tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
-        if satisfy(tp, xp, tk, xk, self.s):
-            return xk
-        ok = within_bound(*pair_checks(tp, xp, ts[1:hi], xs[1:hi]), self.s.smax)
-        if ok.any():
-            i = 1 + int(ok.argmax())
-            return interpolate(tp, xp, ts[i], xs[i], tk)
-        return xp
+    def emit(self, ts, xs, new, m):
+        Xr = xs[:m].copy()  # every kept point is its raw value
+        if not m:
+            return Xr
+        s = self.s
+        # ok[k]: key k is compatible with its raw predecessor, the check
+        # that keeps it when that predecessor was kept.  Key 0 is checked
+        # against the previous repair by the per-point rule, unless it is
+        # the first point of the stream.
+        d, dt = pair_checks(ts[: m - 1], xs[: m - 1], ts[1:m], xs[1:m])
+        ok = np.empty(m, bool)
+        ok[0] = self._prev_x is None
+        ok[1:] = (dt > s.window) | within_bound(d, dt, s.smax)
+        done, ends = 0, None  # keys before done are decided
+        for k in np.flatnonzero(~ok).tolist():
+            if k < done:
+                continue
+            if k:  # key k - 1 was kept
+                self._prev_t, self._prev_x = float(ts[k - 1]), xs[k - 1]
+            if ends is None:  # each key's lookahead window ends before ends[k]
+                ends = ts.searchsorted(ts[:m] + s.window, side="right")
+            # Key k fails its check: the per-point rule until a key is kept.
+            while k < m:
+                xr = self._repair(ts, xs, k, ends[k])
+                if xr is None:
+                    break
+                Xr[k] = self._prev_x = xr
+                self._prev_t = float(ts[k])
+                k += 1
+            done = k + 1
+        if done <= m:  # the last key was kept
+            self._prev_t, self._prev_x = float(ts[m - 1]), xs[m - 1]
+        return Xr
+
+    def _repair(self, ts, xs, k: int, hi: int) -> np.ndarray | None:
+        """Algorithm 2 for key ``k``, whose successors end before ``hi``:
+        ``None`` when it is compatible with the previous repair (kept),
+        else its repair on the line to its first compatible successor,
+        else the previous repair."""
+        s, tp, xp = self.s, self._prev_t, self._prev_x
+        # The key and its successors against the previous repair at once.
+        d, dt = pair_checks(tp, xp, ts[k:hi], xs[k:hi])
+        ok = within_bound(d, dt, s.smax)
+        if dt[0] > s.window or ok[0]:  # satisfy(x_p, x_k)
+            return None
+        i = int(ok.argmax())
+        return interpolate(tp, xp, ts[k + i], xs[k + i], ts[k]) if ok[i] else xp
 
 
 @as_cleaner

@@ -5,9 +5,11 @@ A key point ``x_k`` is decided once its lookahead window ``(t_k, t_k + w]``
 has fully arrived (or at :meth:`OnlineCleaner.flush`), from the previous
 repaired point and the buffered successors only (Section 1.3).  The first
 point of a stream is trusted (the algorithms start at k=2).  A cleaner
-implements one hook, :meth:`OnlineCleaner.decide`; :func:`run` feeds a
-whole series as one block, and the Structured Streaming job feeds each
-micro-batch as one, to the very same objects, so batch and streaming agree.
+implements one hook, :meth:`OnlineCleaner.decide`, or decides a whole
+feed's key points at once in :meth:`OnlineCleaner.emit` (MTCSC-L);
+:func:`run` feeds a whole series as one block, and the Structured
+Streaming job feeds each micro-batch as one, to the very same objects, so
+batch and streaming agree.
 """
 from __future__ import annotations
 
@@ -19,16 +21,17 @@ from .speed import SpeedConstraint, as_series
 class OnlineCleaner:
     """Window, previous repair and emission for one stream.
 
-    Feed blocks of points with :meth:`feed`; it returns the repairs whose
-    lookahead window the block completed, and :meth:`flush` returns the
-    rest.  Each feed builds one read-only array of the window followed by
-    the block, and the window kept for the next feed, ``decide``'s inputs
-    and every kept point's repair are views of it.  Since no such array is
-    ever written, a repair stays valid without a copy.  Between feeds the
-    cleaner holds the window and the previous repair: views that keep the
-    arrays of at most two feeds alive, each the window plus one block, so
-    its space is constant in the stream length.  A cleaner that keeps state
-    per window point implements :meth:`admit`.
+    Feed blocks of points with :meth:`feed`; it returns the points whose
+    lookahead window the block completed as arrays ``(t, Xr)``, and
+    :meth:`flush` returns the rest.  Each feed builds one read-only array
+    of the window followed by the block; the window kept for the next
+    feed, ``decide``'s inputs and a kept previous repair are views of it,
+    and the repairs are written into a new array per call, so an emitted
+    repair never changes.  Between feeds the cleaner holds the window and
+    the previous repair: views that keep the arrays of at most two feeds
+    alive, each the window plus one block, so its space is constant in
+    the stream length.  A cleaner that keeps state per window point
+    implements :meth:`admit`.
     """
 
     def __init__(self, s: SpeedConstraint):
@@ -54,13 +57,36 @@ class OnlineCleaner:
         """Hook run when a point joins the window ``(ts, xs)`` as its last
         point, before any emission."""
 
-    def _emit(self, ts, xs, hi: int) -> tuple[float, np.ndarray]:
+    def emit(self, ts: np.ndarray, xs: np.ndarray, new: int, m: int) -> np.ndarray:
+        """Admit the last ``new`` points of the window ``(ts, xs)`` and
+        return the repairs of its first ``m``, the key points they complete.
+
+        Key point ``h`` is decided when the first point after
+        ``ts[h] + w`` arrives, from the points before that one; at
+        :meth:`flush` (``new == 0``) every point is a key point and all
+        points after it are its successors.
+        """
+        Xr = np.empty((m, xs.shape[1]))
+        h, w = 0, self.s.window
+        for n in range(len(ts) - new + 1, len(ts) + 1):
+            self.admit(ts[h:n], xs[h:n])
+            # Emit every key point whose lookahead window is complete.
+            # Every other window point lies inside it: it arrived when an
+            # older (or the same) key was the first of the window.
+            while ts[n - 1] > ts[h] + w:
+                Xr[h] = self._decide(ts[h:n], xs[h:n], n - h - 1)
+                h += 1
+        for h in range(h, m):
+            Xr[h] = self._decide(ts[h:], xs[h:], len(ts) - h)
+        return Xr
+
+    def _decide(self, ts, xs, hi: int) -> np.ndarray:
         xr = xs[0] if self._prev_x is None else self.decide(ts, xs, hi)
         self._prev_t, self._prev_x = float(ts[0]), xr
-        return self._prev_t, xr
+        return xr
 
-    def feed(self, t, X) -> list[tuple[float, np.ndarray]]:
-        """Add a block of points; return the ``(t, x_repaired)`` pairs it completes.
+    def feed(self, t, X) -> tuple[np.ndarray, np.ndarray]:
+        """Add a block of points; return the points ``(t, Xr)`` it completes.
 
         The block passes :func:`~repro.core.speed.as_series`, must start
         after the last point fed and must have as many dimensions as the
@@ -79,22 +105,16 @@ class OnlineCleaner:
         xs = np.concatenate((self._X, X)) if len(self._t) else X.copy()
         ts.setflags(write=False)
         xs.setflags(write=False)
-        out, h, w = [], 0, self.s.window
-        for n in range(len(self._t) + 1, len(ts) + 1):
-            self.admit(ts[h:n], xs[h:n])
-            # Emit every key point whose lookahead window is complete.
-            # Every other window point lies inside it: it arrived when an
-            # older (or the same) key was the first of the window.
-            while ts[n - 1] > ts[h] + w:
-                out.append(self._emit(ts[h:n], xs[h:n], n - h - 1))
-                h += 1
-        self._t, self._X = ts[h:], xs[h:]
+        # The key points whose window the last point completes.
+        m = int(np.searchsorted(ts + self.s.window, ts[-1])) if len(ts) else 0
+        out = ts[:m], self.emit(ts, xs, len(t), m)
+        self._t, self._X = ts[m:], xs[m:]
         return out
 
-    def flush(self) -> list[tuple[float, np.ndarray]]:
+    def flush(self) -> tuple[np.ndarray, np.ndarray]:
         """End of stream: decide and return every point left in the window."""
         ts, xs, n = self._t, self._X, len(self._t)
-        out = [self._emit(ts[h:], xs[h:], n - h) for h in range(n)]
+        out = ts, self.emit(ts, xs, 0, n)
         self._t, self._X = ts[n:], xs[n:]
         return out
 
@@ -105,4 +125,4 @@ def run(cleaner: OnlineCleaner, t: np.ndarray, X: np.ndarray) -> np.ndarray:
     The body of the batch online cleaners, under
     :func:`repro.core.speed.as_cleaner`.
     """
-    return np.vstack([x for _, x in cleaner.feed(t, X) + cleaner.flush()])
+    return np.concatenate((cleaner.feed(t, X)[1], cleaner.flush()[1]))

@@ -5,14 +5,16 @@ cleaning stage of ``sparkContext.defaultParallelism`` partitions each:
 archives of Figure 16), one kernel call per series, and
 :func:`clean_chunked` cleans one long series in parallel row chunks.
 
-Both share one Arrow-only runner (:func:`_each_run`): the JVM sorts each
-partition by the group key, then ``t``, and ``mapInArrow`` feeds the
-batches to :func:`_runs`, which calls a body once per *run* (consecutive
-rows with one key).  The numpy kernels of :mod:`repro.core` and
-:mod:`repro.baselines` get ``t`` and ``v`` as read-only views of the Arrow
-buffers.  The run bodies import no pandas into a worker: Arrow's
-``to_numpy`` and ``pa.array`` would, so :func:`_view` and :func:`_arrow` go
-by the buffers.  Neither regime writes the session's conf.
+Both share one Arrow-only runner: ``mapInArrow`` feeds a partition's
+batches to :func:`_runs`, which sorts them in Arrow by the group key, then
+``t``, and calls a body once per *run* (consecutive rows with one key).  No
+JVM sort runs, and in the session of :func:`repro.jobrun.default_spark`,
+which runs without AQE, each clean call is one Spark job.  The numpy
+kernels of :mod:`repro.core` and :mod:`repro.baselines` get ``t`` and ``v``
+as read-only views of the Arrow buffers.  The run bodies import no pandas
+into a worker: Arrow's ``to_numpy`` and ``pa.array`` would, so
+:func:`_view` and :func:`_arrow` go by the buffers.  Neither regime writes
+the session's conf.
 """
 from __future__ import annotations
 
@@ -80,28 +82,21 @@ def to_spark_long(
 
 
 def _runs(keys: tuple[str, ...], body: RunBody):
-    """``mapInArrow`` function over batches sorted by ``keys``: ``body`` once
-    per run of equal ``keys``, holding one run at a time (a batch's last)."""
+    """``mapInArrow`` function: sort the partition's batches by ``keys``,
+    then ``t``, and call ``body`` once per run of equal ``keys``."""
 
     def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-        held = None
-        for batch in filter(len, batches):  # skips empty batches
-            if held is not None:
-                batch = pa.Table.from_batches([held, batch]).combine_chunks().to_batches()[0]
-            ends = [_view(pc.run_end_encode(batch.column(k)).run_ends, np.int32) for k in keys]
-            starts = [0, *np.unique(np.concatenate(ends))]
-            for a, b in zip(starts[:-2], starts[1:-1]):
-                yield body(batch.slice(a, b - a))
-            held = batch.slice(starts[-2])
-        if held is not None:
-            yield body(held)
+        batches = list(filter(len, batches))  # skips empty batches
+        if not batches:
+            return
+        order = [(k, "ascending") for k in (*keys, "t")]
+        batch = pa.Table.from_batches(batches).sort_by(order).combine_chunks().to_batches()[0]
+        ends = [_view(pc.run_end_encode(batch.column(k)).run_ends, np.int32) for k in keys]
+        starts = [0, *np.unique(np.concatenate(ends))]
+        for a, b in zip(starts[:-1], starts[1:]):
+            yield body(batch.slice(a, b - a))
 
     return run
-
-
-def _each_run(df: DataFrame, keys: tuple[str, ...], body: RunBody, schema: StructType):
-    """Sort each partition by ``keys``, then ``t``; ``body`` once per run."""
-    return df.sortWithinPartitions(*keys, "t").mapInArrow(_runs(keys, body), schema)
 
 
 def _clean(clean_fn: CleanFn) -> RunBody:
@@ -147,7 +142,7 @@ def clean_per_series(df: DataFrame, clean_fn: CleanFn) -> DataFrame:
     """Clean every series of a long-format frame independently in parallel."""
     n = df.sparkSession.sparkContext.defaultParallelism
     by_series = df.select("series_id", "t", "v").repartition(n, "series_id")
-    return _each_run(by_series, ("series_id",), _clean(clean_fn), CLEAN_SCHEMA)
+    return by_series.mapInArrow(_runs(("series_id",), _clean(clean_fn)), CLEAN_SCHEMA)
 
 
 def clean_chunked(
@@ -169,9 +164,12 @@ def clean_chunked(
     if warmup < 0:
         raise ValueError("warmup must be non-negative")
     n = df.sparkSession.sparkContext.defaultParallelism
-    # Explicit counts keep the stages apart: AQE coalesces kilobyte-sized ones to one task.
+    # Explicit counts size every stage: an exchange would otherwise take the
+    # session's 200 shuffle partitions, and AQE (off in default_spark) would
+    # coalesce kilobyte-sized stages to one task.
     by_series = df.select("series_id", "t", "v").repartition(n, "series_id")
-    labelled = _each_run(by_series, ("series_id",), _label(chunk_rows, warmup), LABEL_SCHEMA)
+    label = _runs(("series_id",), _label(chunk_rows, warmup))
+    labelled = by_series.mapInArrow(label, LABEL_SCHEMA)
     # repartitionById takes the id modulo n; pmod first keeps the sum in range.
     by_chunk = labelled.repartitionById(n, F.pmod(F.hash("series_id"), F.lit(n)) + F.col("chunk"))
-    return _each_run(by_chunk, ("series_id", "chunk"), _clean(clean_fn), CLEAN_SCHEMA)
+    return by_chunk.mapInArrow(_runs(("series_id", "chunk"), _clean(clean_fn)), CLEAN_SCHEMA)

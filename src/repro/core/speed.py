@@ -51,7 +51,8 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def distances(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``distance(W[j], x)`` for every row ``j`` of ``W``, bit for bit.
+    """``distance(W[j], x)`` for every row ``j`` of ``W``, bit for bit; ``x``
+    is one point or one per row of ``W``.
 
     Each row is summed in the same order as the 1-D sum of
     :func:`distance`, so a vectorised check decides exactly as the scalar one.
@@ -63,7 +64,8 @@ def distances(W: np.ndarray, x: np.ndarray) -> np.ndarray:
 def pair_checks(
     t: float, x: np.ndarray, T: np.ndarray, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and time gaps of ``(t, x)`` to every point ``(T[j], W[j])``.
+    """Distances and time gaps of ``(t, x)`` to every point ``(T[j], W[j])``,
+    or of each pair ``(t[j], x[j])``, ``(T[j], W[j])`` given one per row.
 
     ``within_bound(d, dt, s.smax)`` of the result is
     :func:`within_speed` of each pair, bit for bit.

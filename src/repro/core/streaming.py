@@ -75,17 +75,17 @@ class StreamingCleaner:
             key = sid[lo]
             if key not in self._state:
                 self._state[key] = self._cls(self.s)
-            self._record(key, self._state[key].feed(t[lo:hi], v[lo:hi]))
+            self._record(key, *self._state[key].feed(t[lo:hi], v[lo:hi]))
 
     def finish(self) -> pd.DataFrame:
         """Flush every cleaner and return all repairs as a DataFrame."""
         for sid, cleaner in self._state.items():
-            self._record(sid, cleaner.flush())
+            self._record(sid, *cleaner.flush())
         out = pd.DataFrame(self.results, columns=["series_id", "t", "repaired"])
         return out.sort_values(["series_id", "t"]).reset_index(drop=True)
 
-    def _record(self, sid: str, pairs: list[tuple[float, np.ndarray]]) -> None:
-        self.results += [(sid, t, list(map(float, xr))) for t, xr in pairs]
+    def _record(self, sid: str, t: np.ndarray, Xr: np.ndarray) -> None:
+        self.results += zip([sid] * len(t), t.tolist(), Xr.tolist())
 
 
 def write_stream_files(

@@ -21,6 +21,8 @@ def default_spark(app: str) -> SparkSession:
     DataFrame call-site capture is off: it imports IPython into the driver
     on the first ``pyspark.sql.functions`` call, and Spark's error messages
     lose only the line of user code that built the failing expression.
+    AQE is off: every stage of the cleaning regimes has a fixed partition
+    count, so it would only add a Spark job per exchange.
     """
     return (
         SparkSession.builder.appName(app)
@@ -31,6 +33,7 @@ def default_spark(app: str) -> SparkSession:
         .config("spark.python.daemon.module", "repro.spark_daemon")
         .config("spark.python.unix.domain.socket.enabled", "true")
         .config("spark.python.sql.dataFrameDebugging.enabled", "false")
+        .config("spark.sql.adaptive.enabled", "false")
         .getOrCreate()
     )
 

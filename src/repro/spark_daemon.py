@@ -7,9 +7,12 @@ spark-core jar on every worker's ``PYTHONPATH``, and PySpark's worker calls
 daemon drops those entries from ``sys.path`` and their importers from
 ``sys.path_importer_cache`` (``python -m`` made some while it found this
 module), so the workers import the ``pyspark`` installed with their
-interpreter.  :func:`repro.jobrun.default_spark` selects it with
+interpreter.  It then freezes what it has loaded (``gc.freeze()``), so the
+``gc.collect()`` the daemon runs after every task of a reused worker skips
+those objects.  :func:`repro.jobrun.default_spark` selects it with
 ``spark.python.daemon.module``.
 """
+import gc
 import os
 import sys
 
@@ -31,4 +34,6 @@ if __name__ == "__main__":
 
     from pyspark.daemon import manager
 
+    # The workers fork from here, so they inherit the frozen objects.
+    gc.freeze()
     manager()

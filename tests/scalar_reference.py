@@ -1,10 +1,12 @@
-"""Scalar reference for MTCSC-C, MTCSC-A and MTCSC-Uni.
+"""Scalar reference for MTCSC-L, MTCSC-C, MTCSC-A and MTCSC-Uni.
 
-The cleaners before the pair checks moved into a band: a list window
-buffer searched with ``bisect``, every pair check of Algorithm 3 made one
-scalar distance at a time for every key point, and MTCSC-A's speed
-monitor re-bucketing all 2m speeds for every new one.  Tests hold the
-banded cleaners in ``repro.core`` to these bit for bit.
+The online cleaners as they were before their checks were batched: a
+list window buffer searched with ``bisect`` and one key point decided at
+a time, every pair check (MTCSC-L's of each key point against the
+previous repair and its successors, Algorithm 3's between window points)
+made one scalar distance at a time for every key point, and MTCSC-A's
+speed monitor re-bucketing all 2m speeds for every new one.  Tests hold
+the cleaners in ``repro.core`` to these bit for bit.
 """
 from __future__ import annotations
 
@@ -74,17 +76,80 @@ class AdaptiveSpeed:
         return self.s
 
 
-class ClusterCleaner:
-    """MTCSC-C (Algorithm 4) over a list buffer."""
-
-    RESETS_STALE_ANCHOR = False
+class OnlineCleaner:
+    """One key point at a time over a list buffer; ``decide`` as in
+    :meth:`repro.core.online.OnlineCleaner.decide`."""
 
     def __init__(self, s: SpeedConstraint):
         self.s = s
         self._tbuf: list[float] = []
         self._xbuf: list[np.ndarray] = []
-        self._prev_t = self._prev_x = self._last_accept_t = None
+        self._prev_t = self._prev_x = None
         self._out: list[tuple[float, np.ndarray]] = []
+        self._d = 0  # dimensions of the points pushed
+
+    def _emit_first_buffered(self):
+        ts, xs = self._tbuf, self._xbuf
+        if self._prev_x is None:
+            xr = xs[0]
+        else:
+            xr = self.decide(ts, xs, bisect_right(ts, ts[0] + self.s.window))
+        tk = ts.pop(0)
+        xs.pop(0)
+        self._out.append((tk, xr))
+        self._prev_t, self._prev_x = tk, xr
+
+    def push(self, t, x):
+        self._tbuf.append(float(t))
+        self._xbuf.append(np.asarray(x, float))
+        self._d = len(self._xbuf[-1])
+        while self._tbuf and t > self._tbuf[0] + self.s.window:
+            self._emit_first_buffered()
+
+    def feed(self, t, X) -> tuple[np.ndarray, np.ndarray]:
+        """Push a block; return the points ``(t, Xr)`` it completed."""
+        k = len(self._out)
+        for i in range(len(t)):
+            self.push(t[i], X[i])
+        return self._since(k)
+
+    def flush(self) -> tuple[np.ndarray, np.ndarray]:
+        """End of stream: return every point left, as ``(t, Xr)``."""
+        k = len(self._out)
+        while self._tbuf:
+            self._emit_first_buffered()
+        return self._since(k)
+
+    def _since(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        t = np.array([tk for tk, _ in self._out[k:]], float)
+        return t, np.array([x for _, x in self._out[k:]], float).reshape(len(t), self._d)
+
+    def run(self, t, X) -> np.ndarray:
+        return np.concatenate((self.feed(t, X)[1], self.flush()[1]))
+
+
+class LocalCleaner(OnlineCleaner):
+    """MTCSC-L (Algorithm 2), every key point by the per-point rule."""
+
+    def decide(self, ts, xs, hi):
+        s = self.s
+        tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
+        if satisfy(tp, xp, tk, xk, s):
+            return xk
+        for i in range(1, hi):
+            if within_speed(tp, xp, ts[i], xs[i], s):
+                return interpolate(tp, xp, ts[i], xs[i], tk)
+        return xp.copy()
+
+
+class ClusterCleaner(OnlineCleaner):
+    """MTCSC-C (Algorithm 4) over a list buffer."""
+
+    RESETS_STALE_ANCHOR = False
+
+    def __init__(self, s: SpeedConstraint):
+        super().__init__(s)
+        self._last_accept_t = None
 
     def decide(self, ts, xs, hi):
         s = self.s
@@ -104,33 +169,6 @@ class ClusterCleaner:
             self._last_accept_t = tk
             return xk
         return xp.copy()
-
-    def _emit_first_buffered(self):
-        ts, xs = self._tbuf, self._xbuf
-        if self._prev_x is None:
-            xr = xs[0]
-        else:
-            xr = self.decide(ts, xs, bisect_right(ts, ts[0] + self.s.window))
-        tk = ts.pop(0)
-        xs.pop(0)
-        self._out.append((tk, xr))
-        self._prev_t, self._prev_x = tk, xr
-
-    def push(self, t, x):
-        self._tbuf.append(float(t))
-        self._xbuf.append(np.asarray(x, float))
-        while self._tbuf and t > self._tbuf[0] + self.s.window:
-            self._emit_first_buffered()
-
-    def flush(self):
-        while self._tbuf:
-            self._emit_first_buffered()
-
-    def run(self, t, X) -> np.ndarray:
-        for i in range(len(t)):
-            self.push(t[i], X[i])
-        self.flush()
-        return np.vstack([x for _, x in self._out])
 
 
 class AdaptiveCleaner(ClusterCleaner):
@@ -152,6 +190,11 @@ class AdaptiveCleaner(ClusterCleaner):
                 self.s = SpeedConstraint(s_new, self.s.window)
         self._last_raw_t, self._last_raw_x = tk, xk
         return super().decide(ts, xs, hi)
+
+
+@as_cleaner
+def mtcsc_l(t, X, s):
+    return LocalCleaner(s).run(t, X)
 
 
 @as_cleaner

@@ -154,9 +154,6 @@ class TestConsecutiveErrors:
         s = SpeedConstraint(1.0, 8.0)
         want, _ = mtcsc_c(t, X, s)
         cleaner = ClusterCleaner(s)
-        rows = []
-        for i in range(n):
-            rows.extend(cleaner.feed(t[i : i + 1], X[i : i + 1]))
-        rows.extend(cleaner.flush())
-        got = np.vstack([r[1] for r in rows])
+        rows = [cleaner.feed(t[i : i + 1], X[i : i + 1])[1] for i in range(n)]
+        got = np.concatenate(rows + [cleaner.flush()[1]])
         np.testing.assert_allclose(got, want)

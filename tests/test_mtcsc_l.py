@@ -1,10 +1,17 @@
-"""MTCSC-L: soundness, incremental/batch agreement, edge cases."""
+"""MTCSC-L: soundness, incremental/batch agreement, the per-point
+reference, edge cases."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LocalCleaner, SpeedConstraint, mtcsc_l, series_satisfies
+from repro.core import LocalCleaner, SpeedConstraint, estimate_speed, mtcsc_l, series_satisfies
+from repro.core.speed import EPS
+from repro.datasets import ild
+from repro.errors import inject_errors
+
+from . import scalar_reference as ref
+from .test_banded_cluster import DATASETS, assert_bits_equal
 
 
 class TestBasics:
@@ -86,20 +93,90 @@ class TestIncremental:
         want, _ = mtcsc_l(t, X, s)
 
         cleaner = LocalCleaner(s)
-        rows = []
-        for start in range(0, n, batch):
-            for i in range(start, min(start + batch, n)):
-                rows.extend(cleaner.feed(t[i : i + 1], X[i : i + 1]))
-        rows.extend(cleaner.flush())
-        got = np.vstack([r[1] for r in rows])
+        rows = [cleaner.feed(t[i : i + batch], X[i : i + batch])[1] for i in range(0, n, batch)]
+        got = np.concatenate(rows + [cleaner.flush()[1]])
         np.testing.assert_array_equal(got, want)
 
     def test_emission_latency_bounded_by_window(self):
         # A key point must be emitted once data beyond t_k + w arrived.
         s = SpeedConstraint(1.0, 3.0)
         cleaner = LocalCleaner(s)
-        out = []
-        for i in range(5):
-            out += cleaner.feed([float(i)], [[0.0]])
+        out = [cleaner.feed([float(i)], [[0.0]])[0] for i in range(5)]
         # Points 0 (t+w=3 < 4 arrived) should be out; the rest buffered.
-        assert len(out) == 1 and out[0][0] == 0.0
+        assert np.concatenate(out).tolist() == [0.0]
+
+
+S = SpeedConstraint(1.0, 5.0)
+
+
+def _ild(rate):
+    t, X = ild(800, seed=1)
+    dirty, _ = inject_errors(X, rate, seed=3)
+    return t, dirty, SpeedConstraint(estimate_speed(t, X, 0.995, scale=1.5), 10.0)
+
+
+@st.composite
+def series(draw):
+    """A walk within ``S`` that mixes in gaps of exactly and of more than
+    ``w``, steps exactly on the EPS bound of ``within_bound`` and runs of
+    offset errors, whose ends give repaired-to-kept transitions.  Time
+    steps are multiples of 1/8, so gaps and window ends are exact."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.sampled_from([1, 2, 3, 10]))
+    kinds = ["walk", "bound", "gap", "edge", "error"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, X = np.zeros(n), np.zeros((n, d))
+    truth, offset = np.zeros(d), None
+    for k, kind in enumerate(kinds):
+        step = g.integers(1, 17) / 8
+        if k:
+            t[k] = t[k - 1] + {"gap": S.window + step, "edge": S.window}.get(kind, step)
+        dt = t[k] - t[k - 1] if k else 1.0
+        if kind == "bound":  # the raw pair to the previous point sits on the bound
+            truth, offset = X[k - 1].copy() if k else truth, None
+            truth[0] += S.smax * dt * (1.0 + EPS) + EPS
+        else:
+            truth = truth + g.normal(0, 0.4 * dt / np.sqrt(d), d)
+        if kind == "error":  # consecutive errors share one offset
+            offset = g.normal(0, 8, d) if offset is None else offset
+        elif kind != "bound":
+            offset = None
+        X[k] = truth if offset is None else truth + offset
+    return t, X
+
+
+class TestScalarReference:
+    """The vectorised MTCSC-L equals the per-point rule of
+    ``tests/scalar_reference.py`` bit for bit."""
+
+    @given(series())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_equals_scalar_reference(self, tx):
+        t, X = tx
+        for got, want in zip(mtcsc_l(t, X, S), ref.mtcsc_l(t, X, S)):
+            assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("data", [*DATASETS, "ild-5%", "ild-20%", "ild-40%"])
+    def test_datasets_equal_scalar_reference(self, data):
+        rate = data.removeprefix("ild-").removesuffix("%")
+        t, X, s = _ild(int(rate) / 100) if rate.isdigit() else DATASETS[data]()
+        got, want = mtcsc_l(t, X, s), ref.mtcsc_l(t, X, s)
+        for a, b in zip(got, want):
+            assert_bits_equal(a, b)
+        changed = got[1]
+        assert np.any(changed[:-1] & ~changed[1:])  # repaired -> kept
+
+    @pytest.mark.parametrize("rows", [1, 5, 37, pytest.param(None, id="whole")])
+    def test_feeds_equal_scalar_reference(self, rows):
+        """Each feed returns the points the per-point rule emits for that
+        block, and the same repairs."""
+        t, X, s = DATASETS["gps-mixed"]()
+        got, want = LocalCleaner(s), ref.LocalCleaner(s)
+        rows = rows or len(t)
+        for lo in range(0, len(t), rows):
+            block = t[lo : lo + rows], X[lo : lo + rows]
+            for a, b in zip(got.feed(*block), want.feed(*block)):
+                assert_bits_equal(a, b)
+        for a, b in zip(got.flush(), want.flush()):
+            assert_bits_equal(a, b)

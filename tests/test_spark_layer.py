@@ -265,15 +265,18 @@ class TestRuns:
         "cuts", [(), (1,), (3,), (4,), (2, 2), (1, 5, 9)], ids=str
     )
     def test_runs_stitched_across_batches(self, cuts):
-        # Rows a a a | b | c c c c c c: every cut gives the same three runs.
-        ids = ["a"] * 3 + ["b"] + ["c"] * 6
-        whole = pa.RecordBatch.from_arrays(
-            [pa.array(ids), pa.array(np.arange(10.0))], names=["series_id", "t"]
-        )
-        bounds = [0, *cuts, 10]
-        batches = [whole.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-        out = pa.Table.from_batches(list(_runs(("series_id",), _run_keys)(iter(batches))))
-        assert out.to_pydict() == {"series_id": ["a", "b", "c"], "t": [0.0, 3.0, 4.0], "n": [3, 1, 6]}
+        # Rows a a a | b | c c c c c c, sorted or interleaved: every cut
+        # gives the same three runs, since the runner sorts the partition.
+        ids = np.array(["a"] * 3 + ["b"] + ["c"] * 6)
+        for order in (np.arange(10), np.random.default_rng(3).permutation(10)):
+            columns = [pa.array(ids[order]), pa.array(np.arange(10.0)[order])]
+            whole = pa.RecordBatch.from_arrays(columns, names=["series_id", "t"])
+            bounds = [0, *cuts, 10]
+            batches = [whole.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+            out = pa.Table.from_batches(list(_runs(("series_id",), _run_keys)(iter(batches))))
+            assert out.to_pydict() == {
+                "series_id": ["a", "b", "c"], "t": [0.0, 3.0, 4.0], "n": [3, 1, 6]
+            }
 
     def test_small_arrow_batches(self, spark, two_series):
         # Batches of 7 rows cut every series' run; the repairs must not change.
@@ -322,6 +325,9 @@ class TestPlan:
             assert "FlatMapGroupsInPandas" not in plan
             assert "FlatMapGroupsInArrow" not in plan
             assert plan.count("Exchange ") == exchanges
+            # The runner sorts each partition in Arrow, and with AQE off a
+            # clean call is one Spark job.
+            assert "Sort" not in plan and "AdaptiveSparkPlan" not in plan
 
     def test_chunks_share_partitions_evenly(self, spark):
         # 3000 rows in 8 chunks of 375: partition k mod n takes chunk k.
@@ -354,9 +360,7 @@ import pyarrow as pa
 per_series, label, chunked, stream = pickle.loads(sys.stdin.buffer.read())
 batch = pa.ipc.open_stream(stream).read_next_batch()
 rows = sum(b.num_rows for b in per_series(iter([batch])))
-labelled = pa.Table.from_batches(list(label(iter([batch]))))
-labelled = labelled.sort_by([("chunk", "ascending"), ("t", "ascending")])
-chunk_rows = sum(b.num_rows for b in chunked(iter(labelled.to_batches())))
+chunk_rows = sum(b.num_rows for b in chunked(label(iter([batch]))))
 print(json.dumps({"rows": [rows, chunk_rows], "pandas": "pandas" in sys.modules}))
 """
 
@@ -392,6 +396,7 @@ def test_run_bodies_import_no_pandas():
 
 
 def _worker_runtime(_):
+    import gc
     import sys
     import zipimport
 
@@ -403,7 +408,8 @@ def _worker_runtime(_):
         if isinstance(finder, zipimport.zipimporter)
     ]
     lib = os.path.join(os.environ["SPARK_HOME"], "python", "lib") + os.sep
-    return lib, list(sys.path), zips, pyspark.__version__, pyspark.__file__
+    frozen = gc.get_freeze_count()
+    return lib, list(sys.path), zips, pyspark.__version__, pyspark.__file__, frozen
 
 
 class TestWorkerRuntime:
@@ -412,14 +418,18 @@ class TestWorkerRuntime:
 
         n = spark.sparkContext.defaultParallelism
         runtimes = spark.sparkContext.parallelize(range(n), n).map(_worker_runtime)
-        for lib, path, zips, version, file in runtimes.collect():
+        for lib, path, zips, version, file, frozen in runtimes.collect():
             entries = path + zips + [file]
             assert [p for p in entries if p.startswith(lib) or ".jar" in p] == []
             assert version == pyspark.__version__
+            # The daemon froze what it loaded, so its per-task gc.collect()
+            # skips those objects.
+            assert frozen > 0
         # Set by default_spark alone, before the JVM starts.
         conf = spark.sparkContext.getConf()
         assert conf.get("spark.driver.host") == "127.0.0.1"
         assert conf.get("spark.ui.enabled") == "false"
+        assert conf.get("spark.sql.adaptive.enabled") == "false"
 
     def test_add_py_file_imports_in_task(self, spark, tmp_path):
         # Files shipped with addPyFile land on the worker's path per task,
