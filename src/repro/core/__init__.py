@@ -6,7 +6,7 @@ Batch: :func:`mtcsc_g` (global optimum).  Online: :func:`mtcsc_l`
 """
 from .exact import exact_min_fix
 from .mtcsc_a import AdaptiveCleaner, AdaptiveSpeed, mtcsc_a
-from .mtcsc_c import ClusterCleaner, build_cluster, mtcsc_c
+from .mtcsc_c import ClusterCleaner, mtcsc_c
 from .mtcsc_g import fix_list, mtcsc_g
 from .mtcsc_l import LocalCleaner, mtcsc_l
 from .online import OnlineCleaner
@@ -36,7 +36,6 @@ __all__ = [
     "ONLINE_CLEANERS",
     "OnlineCleaner",
     "SpeedConstraint",
-    "build_cluster",
     "distance",
     "estimate_speed",
     "exact_min_fix",

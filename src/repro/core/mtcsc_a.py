@@ -19,7 +19,7 @@ import numpy as np
 
 from .mtcsc_c import ClusterCleaner
 from .online import run
-from .speed import SpeedConstraint, as_cleaner, distance
+from .speed import SpeedConstraint, as_cleaner, distances
 
 #: Buckets of the speed histogram: b-1 equal bins on [0, s] plus overflow.
 B = 6
@@ -134,22 +134,28 @@ class AdaptiveCleaner(ClusterCleaner):
         self._last_raw_t: float | None = None
         self._last_raw_x: np.ndarray | None = None
 
-    def decide(self, ts, xs, hi):
+    def moves(self, ts, xs, m):
         # "AdaptiveSpeed(x_{k-1}, x_k, ...)": the monitored speed is the
         # one between consecutive *observations*.  Using the previous
         # repaired point instead would poison the distribution whenever a
         # too-small constraint makes repairs lag the data (carry-forward
         # during a transport-mode change), inflating s far past the new
-        # mode's real bound.
-        tk, xk = ts[0], xs[0]
-        if self._last_raw_t is not None:
-            s_new = self._adaptive.observe(
-                distance(xk, self._last_raw_x) / (tk - self._last_raw_t)
-            )
-            if s_new != self.s.smax:
-                self.s = SpeedConstraint(s_new, self.s.window)
-        self._last_raw_t, self._last_raw_x = tk, xk
-        return super().decide(ts, xs, hi)
+        # mode's real bound.  So the constraint of every key follows from
+        # the raw data alone.  The stream's first point is not decided,
+        # and the first decided key has no speed yet.
+        moves, smax = {}, self.s.smax
+        lo = int(self._prev_x is None)
+        if m > lo:
+            tr, xr = ts[lo:m], xs[lo:m]
+            if self._last_raw_t is not None:
+                tr = np.concatenate(([self._last_raw_t], tr))
+                xr = np.concatenate((self._last_raw_x[None], xr))
+            v = distances(xr[1:], xr[:-1]) / (tr[1:] - tr[:-1])
+            for k, speed in enumerate(v.tolist(), m - len(v)):
+                if self._adaptive.observe(speed) != smax:
+                    moves[k] = smax = self._adaptive.s
+            self._last_raw_t, self._last_raw_x = ts[m - 1], xs[m - 1]
+        return moves
 
     @property
     def n_speed_updates(self) -> int:

@@ -8,100 +8,38 @@ also repairs *small* errors: the key point is modified unless it is
 compatible with both the previous repair and the majority representative
 (Algorithm 4 line 10), even when it satisfies the speed constraint.
 
-Each pair check between window points involves raw observations only,
-so it is made once, when the later point arrives: its *band row*, one
-vectorised distance to every buffered point.  A key point then adds one
-vectorised check of its window against the previous repair and a scan of
-the stored booleans.  Distances cost O(wDn), the cluster scans O(w^2 n)
-(the paper's O(w^2 D n) bound, Section 3.3, with D moved out of the
-inner loop); the band is O(w^2) state, constant in n.
+The pair checks between window points compare raw observations only, so
+a feed makes them once, in a *lag band* (:func:`lag_band`): the check of
+each point against each of its predecessors inside a window.  While a
+key's previous repair is its raw predecessor ``x_{k-1}`` (that key was
+kept), its checks against the previous repair are band entries too, so
+Algorithm 3 runs for all the keys of a block at once, in lockstep
+(:func:`cluster_runs`): a successor compatible with its raw predecessor
+joins that predecessor's cluster with no scan, and only the first point
+compatible with the previous repair and the successors incompatible with
+their predecessor scan back, one per key per round.  A run of keys kept
+under this speculation costs no per-key Python.  The first key not kept
+takes its speculated repair; from its successor the per-point rule
+(:func:`cluster_scan`, against the actual previous repair) runs until a
+key is kept again.  Keys go in blocks of :data:`BLOCK`, so the scratch
+arrays are constant in the feed length.  Distances cost O(wDn) and the
+scans O(w^2 n), the paper's O(w^2 D n) bound (Section 3.3) with D moved
+out of the scans.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
+from .cluster import cluster_runs, cluster_scan, lag_band, largest_head, lines
 from .online import OnlineCleaner, run
 from .speed import SpeedConstraint, as_cleaner, interpolate, pair_checks, within_bound
 
-
-def cluster_scan(prev_ok: list[bool], band: Sequence[list[bool]]) -> list[list[int]]:
-    """Algorithm 3's clustering over precomputed pair checks.
-
-    ``prev_ok[i]`` tells whether window point ``i`` is compatible with the
-    previous repaired point; ``band[i][l]`` whether it is compatible with
-    window point ``i - 1 - l`` (its band row, newest earlier point first).
-    Returns clusters as lists of window indices, in order of creation.
-
-    ``head[i]`` is the index of the cluster head point ``i`` belongs to
-    (``i`` itself for a head), or ``None`` for an omitted (dirty) point.
-    """
-    if True not in prev_ok:
-        return []
-    # Start from the first point compatible with the previous repaired point.
-    ell = prev_ok.index(True)
-    head: list[int | None] = [None] * len(prev_ok)
-    head[ell] = ell
-    clusters = {ell: [ell]}
-    for i in range(ell + 1, len(prev_ok)):
-        row = band[i]
-        j = i - 1
-        while True:
-            if row[i - 1 - j]:
-                # Join j's cluster; a point compatible with an omitted
-                # point is itself omitted.
-                if head[j] is not None:
-                    head[i] = head[j]
-                    clusters[head[j]].append(i)
-                break
-            if j == ell or head[j] not in (None, j):
-                # Action 2: start a new cluster iff compatible with the
-                # previous repaired point; otherwise omit (Action 4).
-                if prev_ok[i]:
-                    head[i] = i
-                    clusters[i] = [i]
-                break
-            # Action 3 (j is an unsatisfied head or omitted): keep
-            # scanning towards older points.
-            j -= 1
-    return list(clusters.values())
-
-
-def build_cluster(
-    tp: float,
-    xp: np.ndarray,
-    tw: Sequence[float],
-    Xw: Sequence[np.ndarray],
-    s: SpeedConstraint,
-) -> list[list[int]]:
-    """Algorithm 3: cluster the window points (successors of the key point).
-
-    ``(tp, xp)`` is the last repaired point; ``tw``/``Xw`` hold the window
-    points *after* the key point, in time order.  Returns clusters as
-    lists of indices into ``tw`` (order of creation), from the pair checks
-    of :func:`pair_checks` and the scan of :func:`cluster_scan`.
-    """
-    tw = np.asarray(tw, float)
-    Xw = np.asarray(Xw, float)
-    prev_ok = within_bound(*pair_checks(tp, np.asarray(xp, float), tw, Xw), s.smax)
-    band = [
-        within_bound(*pair_checks(tw[i], Xw[i], tw[:i][::-1], Xw[:i][::-1]), s.smax)
-        for i in range(len(tw))
-    ]
-    return cluster_scan(prev_ok.tolist(), [row.tolist() for row in band])
-
-
-def largest_cluster_head(clusters: list[list[int]]) -> int | None:
-    """Index (into the window) of the first point of the largest cluster.
-
-    Ties break towards the earliest-created (oldest-head) cluster, which
-    matches a stable argmax over creation order.
-    """
-    if not clusters:
-        return None
-    best = max(clusters, key=len)
-    return best[0]
+#: Keys decided per block: the scratch arrays of a block take
+#: O(BLOCK * w) space, whatever the feed length.
+BLOCK = 512
+#: Fewest keys decided under the speculation: on fewer, the per-point rule
+#: costs less than a lockstep pass.
+SPECULATE = 8
 
 
 class ClusterCleaner(OnlineCleaner):
@@ -124,49 +62,134 @@ class ClusterCleaner(OnlineCleaner):
     def __init__(self, s: SpeedConstraint):
         super().__init__(s)
         self._last_accept_t: float | None = None
-        # One band row per window point, oldest first: its pair checks
-        # against the window points before it, newest first, as
-        # ``[ok, d, dt]`` with ``ok`` thresholded at ``_band_smax``.
-        self._band: list[list] = []
-        self._band_smax = s.smax
 
-    def admit(self, ts, xs):
-        d, dt = pair_checks(ts[-1], xs[-1], ts[:-1][::-1], xs[:-1][::-1])
-        self._band.append([within_bound(d, dt, self.s.smax).tolist(), d, dt])
+    def moves(self, ts: np.ndarray, xs: np.ndarray, m: int) -> dict[int, float]:
+        """The keys among the first ``m`` at which the constraint moves,
+        each with its new ``smax``: none for MTCSC-C."""
+        return {}
 
-    def decide(self, ts, xs, hi):
-        s, band = self.s, self._band
-        del band[: len(band) - len(ts)]  # rows of points already emitted
-        if s.smax != self._band_smax:  # MTCSC-A moved the constraint
-            for row in band:
-                row[0] = within_bound(row[1], row[2], s.smax).tolist()
-            self._band_smax = s.smax
-        tp, xp, tk, xk = self._prev_t, self._prev_x, ts[0], xs[0]
-        if self._last_accept_t is None:
-            self._last_accept_t = tp  # the trusted first point
-        # The key point and its window against the previous repair at once.
-        prev_ok = within_bound(*pair_checks(tp, xp, ts[:hi], xs[:hi]), s.smax).tolist()
-        satisfied = tk - tp > s.window or prev_ok[0]  # satisfy(x_p, x_k)
-        head = largest_cluster_head(
-            cluster_scan(prev_ok[1:], [row[0] for row in band[1:hi]])
-        )
-        if head is not None:
+    def emit(self, ts, xs, m):
+        Xr = xs[:m].copy()  # every kept point is its raw value
+        if not m:
+            return Xr
+        w = self.s.window
+        moves = self.moves(ts, xs, m)
+        at = np.array(sorted(moves), int)
+        ends = ts.searchsorted(ts[:m] + w, side="right")
+        # raw: the last key decided was kept, so its raw value is the next
+        # key's previous repair.  The stream's first point is kept.
+        raw = self._prev_x is None
+        if raw:
+            self._prev_t, self._prev_x = float(ts[0]), xs[0]
+            self._last_accept_t = self._prev_t
+        k = int(raw)  # the next key to decide
+        for k0 in range(0, m, BLOCK):
+            k1 = min(k0 + BLOCK, m)
+            # Keys under one constraint (MTCSC-A moves it) share a lag band.
+            cuts = [k0, *at[(at > k0) & (at < k1)].tolist(), k1]
+            for a, b in zip(cuts, cuts[1:]):
+                if a in moves:
+                    self.s = SpeedConstraint(moves[a], w)
+                width = max(int((ends[a:b] - np.arange(a, b)).max()), 2)
+                ok = lag_band(ts, xs, a, ends[b - 1], width, self.s.smax)
+                k, raw = self._walk((ts, xs, ends, a, ok), Xr, max(k, a), b, raw)
+        if raw:
+            self._prev_t, self._prev_x = float(ts[m - 1]), xs[m - 1]
+            self._last_accept_t = self._prev_t
+        return Xr
+
+    def _walk(self, band, Xr, lo, hi, raw):
+        """Decide keys ``lo .. hi-1`` into ``Xr``, given whether key ``lo - 1``
+        was kept (``raw``); return ``hi`` and whether key ``hi - 1`` was kept.
+
+        ``band`` is ``(ts, xs, ends, k0, ok)``: the window, the end of each
+        key's successors and the lag band of points ``k0`` on
+        (:func:`lag_band`).
+        """
+        ts, xs = band[:2]
+        first = lo + (not raw)  # key lo's previous repair is not raw
+        spec = hi - first >= SPECULATE
+        if spec:
+            satisfied, head, near, kept = self._speculate(band, first, hi)
+            fails = first + np.flatnonzero(~kept)  # keys the speculation repairs
+        k = lo
+        while k < hi:
+            if raw and spec:
+                # Keys up to the next failure are kept; that one takes its
+                # speculated repair, whose previous repair is x_{k-1}.
+                i = int(fails.searchsorted(k))
+                if i == len(fails):
+                    return hi, True
+                k, j = int(fails[i]), fails[i] - first
+                self._prev_t, self._prev_x = float(ts[k - 1]), xs[k - 1]
+                self._last_accept_t = self._prev_t
+                xr = self._repair(ts, xs, k, satisfied[j], head[j], near[j])
+            else:  # the per-point rule, until a key is kept
+                xr = self._repair(ts, xs, k, *self._per_point(band, k))
+            raw = xr is None
+            if not raw:
+                Xr[k] = xr
+            self._prev_t, self._prev_x = float(ts[k]), xs[k] if raw else xr
+            k += 1
+        return hi, raw
+
+    def _speculate(self, band, lo, hi):
+        """Algorithm 4 for keys ``lo .. hi-1`` in lockstep, each as if its raw
+        predecessor were its previous repair: per key ``satisfy(x_p, x_k)``,
+        the offset of its largest cluster's head among its successors (-1
+        if none), whether key and head are compatible, and whether the key
+        is kept."""
+        ts, xs, ends, k0, ok = band
+        keys = np.arange(lo, hi, dtype=np.int32)
+        cnt = ends[keys] - keys - 1
+        kr = keys - k0  # the band row of each key
+        W = ok.shape[1]
+        # Successor i against x_{k-1}: entry (k + 1 + i, i + 1), a diagonal.
+        P = lines(ok, (kr + 1) * W + 1, W + 1, max(int(cnt.max(initial=0)), 1))
+        P &= np.arange(P.shape[1]) < cnt[:, None]
+        satisfied = (ts[keys] - ts[keys - 1] > self.s.window) | ok[kr, 0]
+        head = largest_head(cluster_runs(P, cnt, ok, kr + 1), cnt)
+        h = np.maximum(head, 0)
+        near = ok[np.minimum(kr + 1 + h, len(ok) - 1), h]
+        return satisfied, head, near, satisfied & ((head < 0) | near)
+
+    def _per_point(self, band, k):
+        """The inputs of :meth:`_repair` for key ``k`` against the actual
+        previous repair, as :meth:`_speculate` gives them."""
+        ts, xs, ends, k0, ok = band
+        end, row = ends[k], k - k0 + 1  # the band row of its first successor
+        # The key and its successors against the previous repair at once.
+        d, dt = pair_checks(self._prev_t, self._prev_x, ts[k:end], xs[k:end])
+        prev_ok = within_bound(d, dt, self.s.smax)
+        satisfied = dt[0] > self.s.window or prev_ok[0]  # satisfy(x_p, x_k)
+        if not prev_ok[1:].any():
+            return satisfied, -1, False
+        head = cluster_scan(prev_ok[1:].tolist(), ok[row : row + end - k - 1].tolist())
+        return satisfied, head, ok[row + head, head]
+
+    def _repair(self, ts, xs, k, satisfied, head, near):
+        """Algorithm 4 for key ``k``: ``None`` when it is kept, else its
+        repair.  ``head`` is the offset of its largest cluster's head among
+        its successors (-1 if none), ``near`` whether key and head are
+        compatible."""
+        tp, xp, tk = self._prev_t, self._prev_x, ts[k]
+        if head >= 0:
             # Kept observations and cluster-anchored repairs are both
             # evidence-backed; only carry-forward emits leave the anchor
             # stale.
             self._last_accept_t = tk
-            i = 1 + head
-            if satisfied and band[i][0][i - 1]:  # and within_speed(x_k, x_i)
-                return xk
+            if satisfied and near:
+                return None
+            i = k + 1 + head
             return interpolate(tp, xp, ts[i], xs[i], tk)
         # No compatible trend in the window: behave like MTCSC-L's fallback
         # — keep the point if compatible, else carry the previous repair
         # forward (or re-anchor on a stale carried repair, see above).
         if satisfied or (
-            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window
+            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > self.s.window
         ):
             self._last_accept_t = tk
-            return xk
+            return None
         return xp
 
 

@@ -34,7 +34,7 @@ class LocalCleaner(OnlineCleaner):
     """Incremental MTCSC-L: the key point's repair anchors on its first
     compatible successor."""
 
-    def emit(self, ts, xs, new, m):
+    def emit(self, ts, xs, m):
         Xr = xs[:m].copy()  # every kept point is its raw value
         if not m:
             return Xr

@@ -5,11 +5,10 @@ A key point ``x_k`` is decided once its lookahead window ``(t_k, t_k + w]``
 has fully arrived (or at :meth:`OnlineCleaner.flush`), from the previous
 repaired point and the buffered successors only (Section 1.3).  The first
 point of a stream is trusted (the algorithms start at k=2).  A cleaner
-implements one hook, :meth:`OnlineCleaner.decide`, or decides a whole
-feed's key points at once in :meth:`OnlineCleaner.emit` (MTCSC-L);
-:func:`run` feeds a whole series as one block, and the Structured
-Streaming job feeds each micro-batch as one, to the very same objects, so
-batch and streaming agree.
+implements one hook, :meth:`OnlineCleaner.emit`, which decides all the
+key points a feed completes at once; :func:`run` feeds a whole series as
+one block, and the Structured Streaming job feeds each micro-batch as
+one, to the very same objects, so batch and streaming agree.
 """
 from __future__ import annotations
 
@@ -25,13 +24,12 @@ class OnlineCleaner:
     lookahead window the block completed as arrays ``(t, Xr)``, and
     :meth:`flush` returns the rest.  Each feed builds one read-only array
     of the window followed by the block; the window kept for the next
-    feed, ``decide``'s inputs and a kept previous repair are views of it,
+    feed, ``emit``'s inputs and a kept previous repair are views of it,
     and the repairs are written into a new array per call, so an emitted
     repair never changes.  Between feeds the cleaner holds the window and
     the previous repair: views that keep the arrays of at most two feeds
     alive, each the window plus one block, so its space is constant in
-    the stream length.  A cleaner that keeps state per window point
-    implements :meth:`admit`.
+    the stream length.
     """
 
     def __init__(self, s: SpeedConstraint):
@@ -41,49 +39,20 @@ class OnlineCleaner:
         self._prev_t: float | None = None  # timestamp of last emitted repair
         self._prev_x: np.ndarray | None = None  # value of last emitted repair
 
-    def decide(self, ts: np.ndarray, xs: np.ndarray, hi: int) -> np.ndarray:
-        """Return the repair of the key point ``(ts[0], xs[0])``.
+    def emit(self, ts: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
+        """Return the repairs of the first ``m`` points of the read-only
+        window ``(ts, xs)``, in a new ``(m, D)`` array, and leave the
+        previous repair at the last one's.
 
-        ``ts``/``xs`` are read-only views of the window, key point first;
-        ``ts[1:hi]``/``xs[1:hi]`` are its successors inside the lookahead
-        window.  Called for every point but the first, so the previous
-        repair (``self._prev_t``, ``self._prev_x``) is always set.  A kept
-        point is returned as ``xs[0]`` itself; whether a point changed is
-        decided once, by :func:`repro.core.speed.moved`.
+        Key point ``h`` is decided from the previous repair
+        (``self._prev_t``, ``self._prev_x``; ``None`` before the stream's
+        first point, which is kept as it is) and its successors, the
+        window points after it up to ``ts[h] + w``, which are all the
+        window points after it at :meth:`flush`.  A kept point's repair is
+        its raw value; whether a point changed is decided once, by
+        :func:`repro.core.speed.moved`.
         """
         raise NotImplementedError
-
-    def admit(self, ts: np.ndarray, xs: np.ndarray) -> None:
-        """Hook run when a point joins the window ``(ts, xs)`` as its last
-        point, before any emission."""
-
-    def emit(self, ts: np.ndarray, xs: np.ndarray, new: int, m: int) -> np.ndarray:
-        """Admit the last ``new`` points of the window ``(ts, xs)`` and
-        return the repairs of its first ``m``, the key points they complete.
-
-        Key point ``h`` is decided when the first point after
-        ``ts[h] + w`` arrives, from the points before that one; at
-        :meth:`flush` (``new == 0``) every point is a key point and all
-        points after it are its successors.
-        """
-        Xr = np.empty((m, xs.shape[1]))
-        h, w = 0, self.s.window
-        for n in range(len(ts) - new + 1, len(ts) + 1):
-            self.admit(ts[h:n], xs[h:n])
-            # Emit every key point whose lookahead window is complete.
-            # Every other window point lies inside it: it arrived when an
-            # older (or the same) key was the first of the window.
-            while ts[n - 1] > ts[h] + w:
-                Xr[h] = self._decide(ts[h:n], xs[h:n], n - h - 1)
-                h += 1
-        for h in range(h, m):
-            Xr[h] = self._decide(ts[h:], xs[h:], len(ts) - h)
-        return Xr
-
-    def _decide(self, ts, xs, hi: int) -> np.ndarray:
-        xr = xs[0] if self._prev_x is None else self.decide(ts, xs, hi)
-        self._prev_t, self._prev_x = float(ts[0]), xr
-        return xr
 
     def feed(self, t, X) -> tuple[np.ndarray, np.ndarray]:
         """Add a block of points; return the points ``(t, Xr)`` it completes.
@@ -107,14 +76,14 @@ class OnlineCleaner:
         xs.setflags(write=False)
         # The key points whose window the last point completes.
         m = int(np.searchsorted(ts + self.s.window, ts[-1])) if len(ts) else 0
-        out = ts[:m], self.emit(ts, xs, len(t), m)
+        out = ts[:m], self.emit(ts, xs, m)
         self._t, self._X = ts[m:], xs[m:]
         return out
 
     def flush(self) -> tuple[np.ndarray, np.ndarray]:
         """End of stream: decide and return every point left in the window."""
         ts, xs, n = self._t, self._X, len(self._t)
-        out = ts, self.emit(ts, xs, 0, n)
+        out = ts, self.emit(ts, xs, n)
         self._t, self._X = ts[n:], xs[n:]
         return out
 

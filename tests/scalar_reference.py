@@ -16,7 +16,6 @@ from collections import deque
 import numpy as np
 
 from repro.core.mtcsc_a import bucketize, kl_divergence
-from repro.core.mtcsc_c import largest_cluster_head
 from repro.core.speed import SpeedConstraint, as_cleaner, interpolate, within_bound
 
 
@@ -27,6 +26,14 @@ def within_speed(ti, xi, tj, xj, s: SpeedConstraint) -> bool:
 
 def satisfy(ti, xi, tj, xj, s: SpeedConstraint) -> bool:
     return abs(float(tj) - float(ti)) > s.window or within_speed(ti, xi, tj, xj, s)
+
+
+def largest_cluster_head(clusters: list[list[int]]) -> int | None:
+    """Index (into the window) of the first point of the largest cluster;
+    ties break towards the earliest-created (oldest-head) cluster."""
+    if not clusters:
+        return None
+    return max(clusters, key=len)[0]
 
 
 def build_cluster(tp, xp, tw, Xw, s: SpeedConstraint) -> list[list[int]]:

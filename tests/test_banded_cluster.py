@@ -1,10 +1,11 @@
-"""The banded MTCSC-C/A/Uni equal the scalar reference bit for bit.
+"""The lockstep MTCSC-C/A/Uni equal the scalar reference bit for bit.
 
-Each pair check between window points is made once, when the later point
-arrives, and kept in a band; MTCSC-A re-thresholds the band when its
-speed monitor moves the constraint.  The reference in
-``tests/scalar_reference.py`` makes every check one scalar distance at a
-time, for every key point.
+Each pair check between window points is made once per feed, in a lag
+band; MTCSC-A makes a band per run of keys under one constraint, as its
+speed monitor moves it.  Algorithm 3 runs for many key points at once,
+under the speculation that each key's previous repair is its raw
+predecessor, and per point after a repair.  The reference in ``tests/scalar_reference.py``
+makes every check one scalar distance at a time, for every key point.
 """
 import importlib
 
@@ -20,14 +21,15 @@ from repro.core import (
     ClusterCleaner,
     LocalCleaner,
     SpeedConstraint,
-    build_cluster,
     estimate_speed,
     mtcsc_a,
     mtcsc_c,
     mtcsc_uni,
     speed,
 )
+from repro.core.cluster import cluster_runs, lag_band
 from repro.core.online import run
+from repro.core.speed import pair_checks, within_bound
 from repro.core.streaming import StreamingCleaner
 from repro.datasets import ecg, gps_mixed, gps_walk, ild
 from repro.errors import inject_errors
@@ -35,6 +37,8 @@ from repro.errors import inject_errors
 from . import scalar_reference as ref
 
 GPS = SpeedConstraint(1.6, 45.0)
+# The module, not the function ``repro.core.mtcsc_c`` re-exported under its name.
+MTCSC_C = importlib.import_module("repro.core.mtcsc_c")
 # The module, not the function ``repro.core.mtcsc_a`` re-exported under its name.
 MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
 
@@ -65,6 +69,26 @@ def _ecg():
 DATASETS = {"gps-walk": _gps_walk, "gps-mixed": _gps_mixed, "ild": _ild, "ecg-d32": _ecg}
 
 
+def build_cluster(tp, xp, tw, Xw, s: SpeedConstraint) -> list[list[int]]:
+    """Algorithm 3 for one key point through the cleaners' lockstep scan.
+
+    ``(tp, xp)`` is the previous repair and ``tw``/``Xw`` the window points
+    after the key point, in time order.  Returns the clusters as lists of
+    indices into ``tw``, in order of creation.
+    """
+    tw, Xw = np.asarray(tw, float), np.asarray(Xw, float)
+    m = len(tw)
+    if not m:
+        return []
+    ok = lag_band(tw, Xw, 0, m, m, s.smax)
+    prev_ok = within_bound(*pair_checks(tp, np.asarray(xp, float), tw, Xw), s.smax)
+    _, starts, heads = cluster_runs(prev_ok[None], np.array([m]), ok, np.array([0]))
+    labels = np.full(m, -1)
+    for lo, hi, h in zip(starts, [*starts[1:], m], heads):
+        labels[lo:hi] = h
+    return [np.flatnonzero(labels == h).tolist() for h in np.unique(labels[labels >= 0])]
+
+
 def assert_bits_equal(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -84,8 +108,8 @@ def test_cleaner_equals_scalar_reference(data, fn, ref_fn):
 
 @pytest.mark.parametrize("data", list(DATASETS))
 def test_adaptive_state_equals_scalar_reference(data, monkeypatch):
-    """With a short monitor window the constraint moves; the band is
-    re-thresholded on every move, so repairs and state still match."""
+    """With a short monitor window the constraint moves; each move starts
+    a lag band of its own, so repairs and state still match."""
     t, X, s = DATASETS[data]()
     monkeypatch.setattr(MTCSC_A, "M", 100)
     got, want = AdaptiveCleaner(s), ref.AdaptiveCleaner(s, m=100)
@@ -100,10 +124,10 @@ def test_adaptive_state_equals_scalar_reference(data, monkeypatch):
 @pytest.mark.parametrize("variant", ["MTCSC-L", "MTCSC-C", "MTCSC-A"])
 @pytest.mark.parametrize("rows", [1, 5, 37, pytest.param(None, id="whole")])
 def test_stream_batches_split_windows(variant, rows):
-    """Micro-batches far shorter than a window (~46 points): band rows
-    made in one batch are read by key points decided in later ones.  One
-    row per batch puts a block boundary after every point; the whole
-    series in one batch puts none."""
+    """Micro-batches far shorter than a window (~46 points): a key point's
+    window spans several batches, so each feed rebuilds the lag band of
+    the points it keeps.  One row per batch puts a block boundary after
+    every point; the whole series in one batch puts none."""
     t, X, s = _gps_mixed()
     cleaner = StreamingCleaner(s, variant=variant)
     pdf = pd.DataFrame({"series_id": "s0", "t": t, "v": list(map(list, X))})
@@ -205,6 +229,24 @@ def test_build_cluster_equals_scalar_reference(seed, m, d, smax):
     s = SpeedConstraint(smax, 10.0)
     xp = g.normal(0, 1, d)
     assert build_cluster(0.0, xp, tw, Xw, s) == ref.build_cluster(0.0, xp, tw, Xw, s)
+
+
+def test_keys_decided_by_speculation(monkeypatch):
+    """Most keys are decided in lockstep under the speculation that their
+    previous repair is their raw predecessor: at most 10% of the keys reach
+    the per-point rule."""
+    calls = []
+    per_point = MTCSC_C.ClusterCleaner._per_point
+
+    def counted(self, band, k):
+        calls.append(k)
+        return per_point(self, band, k)
+
+    monkeypatch.setattr(MTCSC_C.ClusterCleaner, "_per_point", counted)
+    t, X, _, _ = gps_walk(3000, seed=901)
+    _, changed = mtcsc_c(t, X, GPS)
+    assert changed.sum() >= 50
+    assert len(calls) <= 0.1 * len(t)
 
 
 def test_pair_checks_linear_in_n(monkeypatch):

@@ -1,4 +1,5 @@
-"""MTCSC-C: BuildCluster semantics, soundness, consecutive-error regime."""
+"""MTCSC-C: BuildCluster semantics, soundness, consecutive-error regime,
+the scalar reference."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,17 @@ from hypothesis import strategies as st
 from repro.core import (
     ClusterCleaner,
     SpeedConstraint,
-    build_cluster,
+    mtcsc_a,
     mtcsc_c,
     mtcsc_l,
+    mtcsc_uni,
     series_satisfies,
 )
-from repro.core.mtcsc_c import largest_cluster_head
+from repro.core.cluster import largest_head
+
+from . import scalar_reference as ref
+from .test_banded_cluster import DATASETS, assert_bits_equal, build_cluster
+from .test_mtcsc_l import S, _ild, series
 
 
 class TestBuildCluster:
@@ -54,9 +60,15 @@ class TestBuildCluster:
         assert sorted(len(c) for c in clusters) == [1, 2, 3]
 
     def test_largest_head_tiebreak_oldest(self):
-        assert largest_cluster_head([[0], [2], [4]]) == 0
-        assert largest_cluster_head([[0], [1, 3], [2, 5]]) == 1
-        assert largest_cluster_head([]) is None
+        # Each point's cluster head (-1: omitted) for the clusters
+        # [[0], [2], [4]], [[0], [1, 3], [2, 5]] and none.
+        heads = np.array([[0, -1, 2, -1, 4, -1], [0, 1, 2, 1, -1, 2], [-1] * 6])
+        keys, offsets = np.indices(heads.shape).reshape(2, -1)
+        runs = keys, offsets, heads.ravel()  # one run per point
+        assert largest_head(runs, np.full(3, 6)).tolist() == [0, 1, -1]
+        assert ref.largest_cluster_head([[0], [2], [4]]) == 0
+        assert ref.largest_cluster_head([[0], [1, 3], [2, 5]]) == 1
+        assert ref.largest_cluster_head([]) is None
 
 
 class TestBasics:
@@ -157,3 +169,41 @@ class TestConsecutiveErrors:
         rows = [cleaner.feed(t[i : i + 1], X[i : i + 1])[1] for i in range(n)]
         got = np.concatenate(rows + [cleaner.flush()[1]])
         np.testing.assert_allclose(got, want)
+
+
+class TestScalarReference:
+    """The lockstep MTCSC-C equals the per-point rule of
+    ``tests/scalar_reference.py`` bit for bit, and so do MTCSC-A and
+    MTCSC-Uni, which share its scan."""
+
+    @given(series())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_equals_scalar_reference(self, tx):
+        t, X = tx
+        for fn, ref_fn in [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]:
+            for got, want in zip(fn(t, X, S), ref_fn(t, X, S)):
+                assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("data", [*DATASETS, "ild-5%", "ild-20%", "ild-40%"])
+    def test_datasets_equal_scalar_reference(self, data):
+        rate = data.removeprefix("ild-").removesuffix("%")
+        t, X, s = _ild(int(rate) / 100) if rate.isdigit() else DATASETS[data]()
+        got, want = mtcsc_c(t, X, s), ref.mtcsc_c(t, X, s)
+        for a, b in zip(got, want):
+            assert_bits_equal(a, b)
+        changed = got[1]
+        assert np.any(changed[:-1] & ~changed[1:])  # repaired -> kept
+
+    @pytest.mark.parametrize("rows", [1, 5, 37, pytest.param(None, id="whole")])
+    def test_feeds_equal_scalar_reference(self, rows):
+        """Each feed returns the points the per-point rule emits for that
+        block, and the same repairs."""
+        t, X, s = DATASETS["gps-mixed"]()
+        got, want = ClusterCleaner(s), ref.ClusterCleaner(s)
+        rows = rows or len(t)
+        for lo in range(0, len(t), rows):
+            block = t[lo : lo + rows], X[lo : lo + rows]
+            for a, b in zip(got.feed(*block), want.feed(*block)):
+                assert_bits_equal(a, b)
+        for a, b in zip(got.flush(), want.flush()):
+            assert_bits_equal(a, b)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import (
     SpeedConstraint,
-    build_cluster,
     exact_min_fix,
     fix_list,
     mtcsc_c,
@@ -17,6 +16,8 @@ from repro.core import (
 )
 from repro.core.mtcsc_a import bucketize, kl_divergence
 from repro.core.mtcsc_g import _chain_dp, _chain_dp_naive
+
+from .test_banded_cluster import build_cluster
 
 # Example 2.4 series (D=2, 7 points, t=1..7).
 X24 = np.array(
