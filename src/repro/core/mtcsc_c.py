@@ -38,7 +38,10 @@ from .speed import SpeedConstraint, as_cleaner, interpolate, pair_checks, within
 #: O(BLOCK * w) space, whatever the feed length.
 BLOCK = 512
 #: Fewest keys decided under the speculation: on fewer, the per-point rule
-#: costs less than a lockstep pass.
+#: costs less than a lockstep pass.  Fed a few rows at a time, the pass
+#: breaks even at about 5 keys a call on GPS(Walk) (3% of keys repaired)
+#: and at about 20 on GPS(Mixed) (65%; ``BENCH_17.json``,
+#: ``speculate_crossover``).
 SPECULATE = 8
 
 
@@ -93,14 +96,12 @@ class ClusterCleaner(OnlineCleaner):
                 width = max(int((ends[a:b] - np.arange(a, b)).max()), 2)
                 ok = lag_band(ts, xs, a, ends[b - 1], width, self.s.smax)
                 k, raw = self._walk((ts, xs, ends, a, ok), Xr, max(k, a), b, raw)
-        if raw:
-            self._prev_t, self._prev_x = float(ts[m - 1]), xs[m - 1]
-            self._last_accept_t = self._prev_t
         return Xr
 
     def _walk(self, band, Xr, lo, hi, raw):
         """Decide keys ``lo .. hi-1`` into ``Xr``, given whether key ``lo - 1``
-        was kept (``raw``); return ``hi`` and whether key ``hi - 1`` was kept.
+        was kept (``raw``); return ``hi`` and whether key ``hi - 1`` was kept,
+        and leave the previous repair at key ``hi - 1``'s.
 
         ``band`` is ``(ts, xs, ends, k0, ok)``: the window, the end of each
         key's successors and the lag band of points ``k0`` on
@@ -118,11 +119,12 @@ class ClusterCleaner(OnlineCleaner):
                 # Keys up to the next failure are kept; that one takes its
                 # speculated repair, whose previous repair is x_{k-1}.
                 i = int(fails.searchsorted(k))
-                if i == len(fails):
-                    return hi, True
-                k, j = int(fails[i]), fails[i] - first
+                k = int(fails[i]) if i < len(fails) else hi
                 self._prev_t, self._prev_x = float(ts[k - 1]), xs[k - 1]
                 self._last_accept_t = self._prev_t
+                if k == hi:
+                    break
+                j = k - first
                 xr = self._repair(ts, xs, k, satisfied[j], head[j], near[j])
             else:  # the per-point rule, until a key is kept
                 xr = self._repair(ts, xs, k, *self._per_point(band, k))

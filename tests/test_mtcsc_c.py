@@ -1,11 +1,14 @@
 """MTCSC-C: BuildCluster semantics, soundness, consecutive-error regime,
 the scalar reference."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AdaptiveCleaner,
     ClusterCleaner,
     SpeedConstraint,
     mtcsc_a,
@@ -19,6 +22,14 @@ from repro.core.cluster import largest_head
 from . import scalar_reference as ref
 from .test_banded_cluster import DATASETS, assert_bits_equal, build_cluster
 from .test_mtcsc_l import S, _ild, series
+
+# The modules, not the functions re-exported under their names.
+MTCSC_C = importlib.import_module("repro.core.mtcsc_c")
+MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
+#: Blocks of keys small enough that a feed ends some blocks, or the runs
+#: of keys between MTCSC-A's constraint moves, on fewer keys than the
+#: cleaner speculates on, and right after a run of speculatively kept keys.
+SMALL_BLOCKS = [9, 10, 17]
 
 
 class TestBuildCluster:
@@ -176,13 +187,51 @@ class TestScalarReference:
     ``tests/scalar_reference.py`` bit for bit, and so do MTCSC-A and
     MTCSC-Uni, which share its scan."""
 
-    @given(series())
+    @given(series(), st.sampled_from([*SMALL_BLOCKS, MTCSC_C.BLOCK]))
     @settings(max_examples=200, deadline=None)
-    def test_hypothesis_equals_scalar_reference(self, tx):
+    def test_hypothesis_equals_scalar_reference(self, tx, block):
         t, X = tx
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MTCSC_C, "BLOCK", block)
+            for fn, ref_fn in [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]:
+                for got, want in zip(fn(t, X, S), ref_fn(t, X, S)):
+                    assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("data", ["gps-mixed", "ild-20%"])
+    def test_small_blocks_equal_scalar_reference(self, data, block, monkeypatch):
+        """Each block starts from the previous repair the last one left,
+        also when the last one ended on keys kept under the speculation."""
+        t, X, s = DATASETS[data]() if data in DATASETS else _ild(0.2)
+        monkeypatch.setattr(MTCSC_C, "BLOCK", block)
         for fn, ref_fn in [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]:
-            for got, want in zip(fn(t, X, S), ref_fn(t, X, S)):
+            for got, want in zip(fn(t, X, s), ref_fn(t, X, s)):
                 assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [37, pytest.param(None, id="whole")])
+    @pytest.mark.parametrize("data", ["gps-walk", "ild"])
+    def test_adaptive_moves_on_consecutive_keys(self, data, rows, monkeypatch):
+        """MTCSC-A under a monitor that moves the constraint every few
+        keys, often on consecutive ones: each run of keys between moves
+        starts from the actual previous repair and anchor."""
+        t, X, s = DATASETS[data]()
+        monkeypatch.setattr(MTCSC_A, "M", 10)
+        monkeypatch.setattr(MTCSC_A, "TAU", 0.05)
+        got, want = AdaptiveCleaner(s), ref.AdaptiveCleaner(s, m=10, tau=0.05)
+        keys, decided, moves = [], [0], got.moves
+
+        def record(ts, xs, m):  # the stream index of each move
+            out = moves(ts, xs, m)
+            keys.extend(decided[0] + k for k in out)
+            decided[0] += m
+            return out
+
+        monkeypatch.setattr(got, "moves", record)
+        rows = rows or len(t)
+        out = [got.feed(t[lo : lo + rows], X[lo : lo + rows])[1] for lo in range(0, len(t), rows)]
+        assert_bits_equal(np.concatenate(out + [got.flush()[1]]), want.run(t, X))
+        assert got.n_speed_updates == want.adaptive.n_updates
+        assert np.any(np.diff(keys) == 1)
 
     @pytest.mark.parametrize("data", [*DATASETS, "ild-5%", "ild-20%", "ild-40%"])
     def test_datasets_equal_scalar_reference(self, data):
