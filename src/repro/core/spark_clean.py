@@ -18,6 +18,7 @@ the session's conf.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable, Iterator
 
 import numpy as np
@@ -156,20 +157,25 @@ def clean_chunked(
     dropped.  The online cleaners (MTCSC-L/C/A) depend on the past only
     through the previous repair and a ``w``-bounded lookahead, so the
     output matches the sequential one except where an error run spans a
-    boundary longer than the warm-up (tests quantify it).  Chunk ``k``
-    goes to partition ``(h + k) mod n``, ``h`` the series' hash.
+    boundary longer than the warm-up (tests quantify it).
+
+    One Spark job of two stages: one task reads the whole frame (and runs
+    its narrow upstream) and labels each series' chunks; one exchange then
+    sends chunk ``k`` to partition ``(h + k) mod n``, ``h`` the series'
+    hash, for the ``n`` cleaning tasks.
     """
-    if chunk_rows <= 0:
-        raise ValueError("chunk_rows must be positive")
-    if warmup < 0:
+    if not isinstance(chunk_rows, numbers.Integral) or chunk_rows <= 0:
+        raise ValueError("chunk_rows must be a positive integer")
+    if not warmup >= 0:  # also rejects NaN
         raise ValueError("warmup must be non-negative")
     n = df.sparkSession.sparkContext.defaultParallelism
-    # Explicit counts size every stage: an exchange would otherwise take the
-    # session's 200 shuffle partitions, and AQE (off in default_spark) would
-    # coalesce kilobyte-sized stages to one task.
-    by_series = df.select("series_id", "t", "v").repartition(n, "series_id")
     label = _runs(("series_id",), _label(chunk_rows, warmup))
-    labelled = by_series.mapInArrow(label, LABEL_SCHEMA)
-    # repartitionById takes the id modulo n; pmod first keeps the sum in range.
-    by_chunk = labelled.repartitionById(n, F.pmod(F.hash("series_id"), F.lit(n)) + F.col("chunk"))
+    labelled = df.select("series_id", "t", "v").coalesce(1).mapInArrow(label, LABEL_SCHEMA)
+    # An explicit count sizes the clean stage: the exchange would otherwise
+    # take the session's 200 shuffle partitions, and AQE (off in
+    # default_spark) would coalesce a kilobyte-sized stage to one task.
+    # repartitionById takes the id modulo n; pmod first keeps the INT sum
+    # in range.
+    chunk_id = F.expr(f"pmod(hash(series_id), {n}) + chunk")
+    by_chunk = labelled.repartitionById(n, chunk_id)
     return by_chunk.mapInArrow(_runs(("series_id", "chunk"), _clean(clean_fn)), CLEAN_SCHEMA)

@@ -14,6 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 from pyspark.errors import PythonException
+from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
 import repro
@@ -115,6 +116,20 @@ class TestCleanChunked:
         with pytest.raises(ValueError):
             clean_chunked(df, _clean_fn, chunk_rows=10, warmup=-1.0)
 
+    @pytest.mark.parametrize(
+        "chunk_rows, warmup",
+        [(10, float("nan")), (2.5, 1.0), (10.0, 1.0)],
+        ids=["nan-warmup", "fractional-rows", "float-rows"],
+    )
+    def test_invalid_params_raise_in_driver(self, spark, gps_small, chunk_rows, warmup):
+        # A NaN warm-up passed `warmup < 0` and copied no rows, and a
+        # non-integer chunk_rows failed only inside a worker; now the call
+        # itself raises, before any action could start a job.
+        t, dirty, truth, mask = gps_small
+        df = to_spark_long(spark, t, dirty)
+        with pytest.raises(ValueError, match="chunk_rows|warmup"):
+            clean_chunked(df, _reveal_group, chunk_rows=chunk_rows, warmup=warmup)
+
 
 def _reveal_group(t, X):
     """Write the group's first ``t`` and row count into every repair."""
@@ -172,6 +187,25 @@ class TestChunkGroups:
             np.testing.assert_array_equal(
                 np.array(part["repaired"].tolist()), _chunk_groups(t, chunk_rows, warmup)
             )
+
+
+def test_shuffled_input_with_extra_column(spark):
+    # One series in 7 shuffled partitions, its columns reordered and one
+    # more: both regimes select their columns and sort each run in Arrow.
+    t, X = _irregular_series(600, seed=21)
+    df = to_spark_long(spark, t, X).withColumn("extra", F.lit("x")).repartition(7)
+    df = df.select("v", "extra", "t", "series_id")
+    assert df.rdd.getNumPartitions() == 7
+    chunked = clean_chunked(df, _reveal_group, chunk_rows=70, warmup=6.0).toPandas()
+    chunked = chunked.sort_values("t")
+    np.testing.assert_array_equal(chunked["t"].to_numpy(), t)
+    np.testing.assert_array_equal(
+        np.array(chunked["repaired"].tolist()), _chunk_groups(t, 70, 6.0)
+    )
+    per_series = clean_per_series(df, _clean_fn).toPandas().sort_values("t")
+    want, want_ch = _clean_fn(t, X)
+    np.testing.assert_array_equal(np.array(per_series["repaired"].tolist()), want)
+    np.testing.assert_array_equal(per_series["changed"].to_numpy(), want_ch)
 
 
 REGIMES = {
@@ -320,7 +354,7 @@ class TestPlan:
         df = to_spark_long(spark, t, dirty)
         per_series = clean_per_series(df, _reveal_group)
         chunked = clean_chunked(df, _reveal_group, chunk_rows=300, warmup=45.0)
-        for out, exchanges in ((per_series, 1), (chunked, 2)):
+        for out, exchanges in ((per_series, 1), (chunked, 1)):
             plan = out._jdf.queryExecution().executedPlan().toString()
             assert "FlatMapGroupsInPandas" not in plan
             assert "FlatMapGroupsInArrow" not in plan
@@ -328,6 +362,25 @@ class TestPlan:
             # The runner sorts each partition in Arrow, and with AQE off a
             # clean call is one Spark job.
             assert "Sort" not in plan and "AdaptiveSparkPlan" not in plan
+        # The chunked regime labels in the task that reads its input.
+        assert "Coalesce 1" in chunked._jdf.queryExecution().executedPlan().toString()
+
+    def test_chunked_is_one_job_of_two_stages(self, spark, gps_small):
+        # collect() adds no stage of its own (count() would add its
+        # aggregation's): label + shuffle write in one task, then the clean.
+        t, dirty, _, _ = gps_small
+        sc = spark.sparkContext
+        df = to_spark_long(spark, t, dirty)
+        sc.setJobGroup("chunked-stages", "chunked-stages")
+        try:
+            clean_chunked(df, _reveal_group, chunk_rows=300, warmup=45.0).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        (job,) = tracker.getJobIdsForGroup("chunked-stages")
+        stages = sorted(tracker.getJobInfo(job).stageIds)
+        tasks = [tracker.getStageInfo(stage).numTasks for stage in stages]
+        assert tasks == [1, sc.defaultParallelism]
 
     def test_chunks_share_partitions_evenly(self, spark):
         # 3000 rows in 8 chunks of 375: partition k mod n takes chunk k.
