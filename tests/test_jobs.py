@@ -17,6 +17,8 @@ import pytest
 from repro.jobrun import parser
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
+#: The tables of the reduced runs below, without their timings.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(JOBS))
 
 import fig5_stock  # noqa: E402
@@ -85,6 +87,13 @@ class TestCommandLine:
         assert flags == set(COMMAND_LINES[job][1])
 
 
+def assert_golden(df, name: str):
+    """``df`` without its ``seconds`` column equals the committed table
+    ``golden/<name>.csv`` cell for cell, floats written as their ``repr``."""
+    got = df.drop(columns="seconds", errors="ignore").to_csv(index=False)
+    assert got == (GOLDEN / f"{name}.csv").read_text()
+
+
 class TestTable2:
     def test_rows_match_paper_catalogue(self):
         rows = table2_rows = table2_datasets.table2_rows(scale=0.02)
@@ -100,6 +109,7 @@ class TestTable2:
 class TestTable4:
     def test_small_run_has_all_methods(self, spark):
         df = table4_gps.run_table4(spark, n=800)
+        assert_golden(df, "table4_gps")
         assert list(df["method"])[0] == "Dirty"
         assert len(df) == len(table4_gps.PAPER_TABLE4)
         assert np.isfinite(df["rmse"]).all()
@@ -112,6 +122,7 @@ class TestTable4:
 class TestFig5:
     def test_reduced_run(self, spark):
         df = fig5_stock.run_fig5(spark, n=1000, seeds=2)
+        assert_golden(df, "fig5_stock")
         assert set(df["method"]) == set(fig5_stock.PROPOSALS)
         # Online L must be faster than batch G at every rate (paper 5(b)
         # relative ordering that survives our pruned-G optimization).
@@ -124,6 +135,7 @@ class TestFig6:
     def test_reduced_run(self, spark, monkeypatch):
         monkeypatch.setattr(fig6_ild_error_rate, "RATES", [0.10, 0.05])
         df = fig6_ild_error_rate.run_fig6(spark, n=400, seeds=1)
+        assert_golden(df, "fig6_ild_error_rate")
         assert list(df.columns[:2]) == ["method", "rate"]
         methods = sorted(fig6_ild_error_rate.METHODS)
         assert list(zip(df["method"], df["rate"])) == [
@@ -135,6 +147,7 @@ class TestFig6:
 class TestFig7:
     def test_sizes_in_order(self, spark):
         df = fig7_ild_size.run_fig7(spark, sizes=(600, 300), seeds=1)
+        assert_golden(df, "fig7_ild_size")
         assert list(df.columns[:3]) == ["size", "method", "rate"]
         assert list(df["size"].unique()) == [600, 300]
         assert (df.groupby("size").size() == len(fig7_ild_size.METHODS)).all()
@@ -168,10 +181,14 @@ class TestFig9:
     def test_whole_grid_is_one_spark_job(self, run):
         assert run[1] == 1
 
+    def test_table_equals_golden(self, run):
+        assert_golden(run[0], "fig9_patterns")
+
 
 class TestFig13:
     def test_dimension_scaling(self, spark):
         df = fig13_dimension.run_fig13(spark, n=1200, dims=(2, 8), seeds=1)
+        assert_golden(df, "fig13_dimension")
         assert set(df["D"]) == {2, 8}
         # Accuracy should hold up as D grows (rmse finite and better than
         # nothing at both dims for MTCSC-C).
@@ -205,6 +222,9 @@ class TestFig14:
     def test_whole_grid_is_one_spark_job(self, run):
         assert run[1] == 1
 
+    def test_table_equals_golden(self, run):
+        assert_golden(run[0], "fig14_adaptive")
+
 
 class TestFig16:
     def test_applications_table(self, spark, monkeypatch):
@@ -223,6 +243,7 @@ class TestFig16:
             fig16_applications, "CLASSIFICATION", {"arrowhead": ds.arrowhead}
         )
         df = fig16_applications.run_fig16(spark)
+        assert_golden(df, "fig16_applications")
         labels = set(df["train_data"])
         assert {"Clean", "Dirty", "MTCSC-C", "EWMA"} <= labels
         by = {r["train_data"]: r for _, r in df.iterrows()}
