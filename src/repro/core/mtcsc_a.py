@@ -95,14 +95,16 @@ class AdaptiveSpeed:
                 self._kl = kl_divergence(*self._counts)
             if self._kl > self.tau:
                 w = np.array(self.window)
-                self.s = float(np.quantile(w[m:], 0.95)) / self.beta
-                self.n_updates += 1
-                self._edges = bucket_edges(self.b, self.s)
-                idx = np.searchsorted(self._edges, w)
-                self._buckets.extend(idx.tolist())
-                self._counts = [np.bincount(h, minlength=self.b).tolist()
-                                for h in (idx[:m], idx[m:])]
-                self._kl = None
+                s = float(np.quantile(w[m:], 0.95)) / self.beta
+                if s > 0:  # the speeds of a series at rest bound nothing
+                    self.s = s
+                    self.n_updates += 1
+                    self._edges = bucket_edges(self.b, self.s)
+                    idx = np.searchsorted(self._edges, w)
+                    self._buckets.extend(idx.tolist())
+                    self._counts = [np.bincount(h, minlength=self.b).tolist()
+                                    for h in (idx[:m], idx[m:])]
+                    self._kl = None
         k = int(np.searchsorted(self._edges, speed))
         c1, c2 = self._counts
         if n < 2 * m:

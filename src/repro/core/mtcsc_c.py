@@ -9,22 +9,21 @@ compatible with both the previous repair and the majority representative
 (Algorithm 4 line 10), even when it satisfies the speed constraint.
 
 The pair checks between window points compare raw observations only, so
-a feed makes them once, in a *lag band* (:func:`lag_band`): the check of
-each point against each of its predecessors inside a window.  While a
-key's previous repair is its raw predecessor ``x_{k-1}`` (that key was
-kept), its checks against the previous repair are band entries too, so
-Algorithm 3 runs for all the keys of a block at once, in lockstep
-(:func:`cluster_runs`): a successor compatible with its raw predecessor
-joins that predecessor's cluster with no scan, and only the first point
-compatible with the previous repair and the successors incompatible with
-their predecessor scan back, one per key per round.  A run of keys kept
-under this speculation costs no per-key Python.  The first key not kept
-takes its speculated repair; from its successor the per-point rule
+:meth:`ClusterCleaner.speculate` makes those of a run of keys once, in a
+*lag band* (:func:`lag_band`): the check of each point against each of
+its predecessors inside a window.  While a key's previous repair is its
+raw predecessor ``x_{k-1}`` (that key was kept), its checks against the
+previous repair are band entries too, so Algorithm 3 runs for all the
+keys of the run at once, in lockstep (:func:`cluster_runs`): a successor
+compatible with its raw predecessor joins that predecessor's cluster
+with no scan, and only the first point compatible with the previous
+repair and the successors incompatible with their predecessor scan back,
+one per key per round.  The online loop skips the keys kept under this
+speculation with no per-key Python.  The first key not kept takes its
+speculated repair; from its successor the per-point rule
 (:func:`cluster_scan`, against the actual previous repair) runs until a
-key is kept again.  Keys go in blocks of :data:`BLOCK`, so the scratch
-arrays are constant in the feed length.  Distances cost O(wDn) and the
-scans O(w^2 n), the paper's O(w^2 D n) bound (Section 3.3) with D moved
-out of the scans.
+key is kept again.  Distances cost O(wDn) and the scans O(w^2 n), the
+paper's O(w^2 D n) bound (Section 3.3) with D moved out of the scans.
 """
 from __future__ import annotations
 
@@ -34,9 +33,6 @@ from .cluster import cluster_runs, cluster_scan, lag_band, largest_head, lines
 from .online import OnlineCleaner, run
 from .speed import SpeedConstraint, as_cleaner, interpolate, pair_checks, within_bound
 
-#: Keys decided per block: the scratch arrays of a block take
-#: O(BLOCK * w) space, whatever the feed length.
-BLOCK = 512
 #: Fewest keys decided under the speculation: on fewer, the per-point rule
 #: costs less than a lockstep pass.  Fed a few rows at a time, the pass
 #: breaks even at about 5 keys a call on GPS(Walk) (3% of keys repaired)
@@ -62,78 +58,26 @@ class ClusterCleaner(OnlineCleaner):
     #: staleness.
     RESETS_STALE_ANCHOR = False
 
-    def __init__(self, s: SpeedConstraint):
-        super().__init__(s)
-        self._last_accept_t: float | None = None
+    #: While the previous repair is carried forward, the time of the last
+    #: key before the carry-forwards, from which the stale-anchor reset
+    #: counts; else None.
+    _carried_from: float | None = None
 
-    def moves(self, ts: np.ndarray, xs: np.ndarray, m: int) -> dict[int, float]:
-        """The keys among the first ``m`` at which the constraint moves,
-        each with its new ``smax``: none for MTCSC-C."""
-        return {}
-
-    def emit(self, ts, xs, m):
-        Xr = xs[:m].copy()  # every kept point is its raw value
-        if not m:
-            return Xr
-        w = self.s.window
-        moves = self.moves(ts, xs, m)
-        at = np.array(sorted(moves), int)
-        ends = ts.searchsorted(ts[:m] + w, side="right")
-        # raw: the last key decided was kept, so its raw value is the next
-        # key's previous repair.  The stream's first point is kept.
-        raw = self._prev_x is None
-        if raw:
-            self._prev_t, self._prev_x = float(ts[0]), xs[0]
-            self._last_accept_t = self._prev_t
-        k = int(raw)  # the next key to decide
-        for k0 in range(0, m, BLOCK):
-            k1 = min(k0 + BLOCK, m)
-            # Keys under one constraint (MTCSC-A moves it) share a lag band.
-            cuts = [k0, *at[(at > k0) & (at < k1)].tolist(), k1]
-            for a, b in zip(cuts, cuts[1:]):
-                if a in moves:
-                    self.s = SpeedConstraint(moves[a], w)
-                width = max(int((ends[a:b] - np.arange(a, b)).max()), 2)
-                ok = lag_band(ts, xs, a, ends[b - 1], width, self.s.smax)
-                k, raw = self._walk((ts, xs, ends, a, ok), Xr, max(k, a), b, raw)
-        return Xr
-
-    def _walk(self, band, Xr, lo, hi, raw):
-        """Decide keys ``lo .. hi-1`` into ``Xr``, given whether key ``lo - 1``
-        was kept (``raw``); return ``hi`` and whether key ``hi - 1`` was kept,
-        and leave the previous repair at key ``hi - 1``'s.
-
-        ``band`` is ``(ts, xs, ends, k0, ok)``: the window, the end of each
-        key's successors and the lag band of points ``k0`` on
-        (:func:`lag_band`).
-        """
-        ts, xs = band[:2]
-        first = lo + (not raw)  # key lo's previous repair is not raw
-        spec = hi - first >= SPECULATE
+    def speculate(self, ts, xs, ends, a, lo, hi):
+        width = max(int((ends[a:hi] - np.arange(a, hi)).max()), 2)
+        band = ts, xs, ends, a, lag_band(ts, xs, a, ends[hi - 1], width, self.s.smax)
+        kept = np.zeros(hi - lo, bool)  # on too few keys, all go per point
+        spec = hi - lo >= SPECULATE
         if spec:
-            satisfied, head, near, kept = self._speculate(band, first, hi)
-            fails = first + np.flatnonzero(~kept)  # keys the speculation repairs
-        k = lo
-        while k < hi:
-            if raw and spec:
-                # Keys up to the next failure are kept; that one takes its
-                # speculated repair, whose previous repair is x_{k-1}.
-                i = int(fails.searchsorted(k))
-                k = int(fails[i]) if i < len(fails) else hi
-                self._prev_t, self._prev_x = float(ts[k - 1]), xs[k - 1]
-                self._last_accept_t = self._prev_t
-                if k == hi:
-                    break
-                j = k - first
-                xr = self._repair(ts, xs, k, satisfied[j], head[j], near[j])
-            else:  # the per-point rule, until a key is kept
-                xr = self._repair(ts, xs, k, *self._per_point(band, k))
-            raw = xr is None
-            if not raw:
-                Xr[k] = xr
-            self._prev_t, self._prev_x = float(ts[k]), xs[k] if raw else xr
-            k += 1
-        return hi, raw
+            satisfied, head, near, kept = self._speculate(band, lo, hi)
+
+        def decide(k, raw):
+            if raw and spec:  # the speculation holds for key k
+                j = k - lo
+                return self._repair(ts, xs, k, satisfied[j], head[j], near[j])
+            return self._repair(ts, xs, k, *self._per_point(band, k))
+
+        return kept, decide
 
     def _speculate(self, band, lo, hi):
         """Algorithm 4 for keys ``lo .. hi-1`` in lockstep, each as if its raw
@@ -179,7 +123,7 @@ class ClusterCleaner(OnlineCleaner):
             # Kept observations and cluster-anchored repairs are both
             # evidence-backed; only carry-forward emits leave the anchor
             # stale.
-            self._last_accept_t = tk
+            self._carried_from = None
             if satisfied and near:
                 return None
             i = k + 1 + head
@@ -187,11 +131,11 @@ class ClusterCleaner(OnlineCleaner):
         # No compatible trend in the window: behave like MTCSC-L's fallback
         # — keep the point if compatible, else carry the previous repair
         # forward (or re-anchor on a stale carried repair, see above).
-        if satisfied or (
-            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > self.s.window
-        ):
-            self._last_accept_t = tk
+        since = tp if self._carried_from is None else self._carried_from
+        if satisfied or (self.RESETS_STALE_ANCHOR and tk - since > self.s.window):
+            self._carried_from = None
             return None
+        self._carried_from = since
         return xp
 
 

@@ -9,10 +9,10 @@ previous repair and places ``x'_k`` on the line between them
 ``x'_k`` falls back to the previous repaired value.
 
 While the previous repair is the raw ``x_{k-1}``, the check of ``x_k``
-reads raw data only, so the checks of every consecutive pair are made
-in one vectorised pass per feed, and a run of passing pairs is kept with
-no per-point work.  The per-point rule runs from a failing pair until a
-point is kept raw again.
+reads raw data only, so :meth:`LocalCleaner.speculate` makes the checks
+of every consecutive pair of a run in one vectorised pass, and the online
+loop keeps a run of passing pairs with no per-point work.  The per-point
+rule runs from a failing pair until a point is kept raw again.
 
 Complexity O(wDn); constant space beyond the window.
 """
@@ -34,39 +34,12 @@ class LocalCleaner(OnlineCleaner):
     """Incremental MTCSC-L: the key point's repair anchors on its first
     compatible successor."""
 
-    def emit(self, ts, xs, m):
-        Xr = xs[:m].copy()  # every kept point is its raw value
-        if not m:
-            return Xr
-        s = self.s
-        # ok[k]: key k is compatible with its raw predecessor, the check
-        # that keeps it when that predecessor was kept.  Key 0 is checked
-        # against the previous repair by the per-point rule, unless it is
-        # the first point of the stream.
-        d, dt = pair_checks(ts[: m - 1], xs[: m - 1], ts[1:m], xs[1:m])
-        ok = np.empty(m, bool)
-        ok[0] = self._prev_x is None
-        ok[1:] = (dt > s.window) | within_bound(d, dt, s.smax)
-        done, ends = 0, None  # keys before done are decided
-        for k in np.flatnonzero(~ok).tolist():
-            if k < done:
-                continue
-            if k:  # key k - 1 was kept
-                self._prev_t, self._prev_x = float(ts[k - 1]), xs[k - 1]
-            if ends is None:  # each key's lookahead window ends before ends[k]
-                ends = ts.searchsorted(ts[:m] + s.window, side="right")
-            # Key k fails its check: the per-point rule until a key is kept.
-            while k < m:
-                xr = self._repair(ts, xs, k, ends[k])
-                if xr is None:
-                    break
-                Xr[k] = self._prev_x = xr
-                self._prev_t = float(ts[k])
-                k += 1
-            done = k + 1
-        if done <= m:  # the last key was kept
-            self._prev_t, self._prev_x = float(ts[m - 1]), xs[m - 1]
-        return Xr
+    def speculate(self, ts, xs, ends, a, lo, hi):
+        # Key k is compatible with its raw predecessor: the check that
+        # keeps it when that predecessor was kept.
+        d, dt = pair_checks(ts[lo - 1 : hi - 1], xs[lo - 1 : hi - 1], ts[lo:hi], xs[lo:hi])
+        kept = (dt > self.s.window) | within_bound(d, dt, self.s.smax)
+        return kept, lambda k, raw: self._repair(ts, xs, k, ends[k])
 
     def _repair(self, ts, xs, k: int, hi: int) -> np.ndarray | None:
         """Algorithm 2 for key ``k``, whose successors end before ``hi``:

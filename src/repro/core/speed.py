@@ -38,9 +38,9 @@ class SpeedConstraint:
     window: float
 
     def __post_init__(self) -> None:
-        if self.smax <= 0:
+        if not self.smax > 0:  # also NaN
             raise ValueError(f"smax must be positive, got {self.smax}")
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError(f"window must be positive, got {self.window}")
 
 

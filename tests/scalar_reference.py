@@ -77,8 +77,10 @@ class AdaptiveSpeed:
             if kl_divergence(
                 bucketize(w1, self.b, self.s), bucketize(w2, self.b, self.s)
             ) > self.tau:
-                self.s = float(np.quantile(w2, 0.95)) / self.beta
-                self.n_updates += 1
+                s_new = float(np.quantile(w2, 0.95)) / self.beta
+                if s_new > 0:  # speeds of a series at rest bound nothing
+                    self.s = s_new
+                    self.n_updates += 1
         self.window.append(float(speed))
         return self.s
 
@@ -157,6 +159,7 @@ class ClusterCleaner(OnlineCleaner):
     def __init__(self, s: SpeedConstraint):
         super().__init__(s)
         self._last_accept_t = None
+        self.n_resets = 0  # stale-anchor resets (for tests)
 
     def decide(self, ts, xs, hi):
         s = self.s
@@ -170,9 +173,9 @@ class ClusterCleaner(OnlineCleaner):
             if satisfy(tp, xp, tk, xk, s) and within_speed(tk, xk, ti, xi, s):
                 return xk
             return interpolate(tp, xp, ti, xi, tk)
-        if satisfy(tp, xp, tk, xk, s) or (
-            self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window
-        ):
+        satisfied = satisfy(tp, xp, tk, xk, s)
+        if satisfied or (self.RESETS_STALE_ANCHOR and tk - self._last_accept_t > s.window):
+            self.n_resets += not satisfied
             self._last_accept_t = tk
             return xk
         return xp.copy()

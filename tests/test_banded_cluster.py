@@ -24,6 +24,7 @@ from repro.core import (
     estimate_speed,
     mtcsc_a,
     mtcsc_c,
+    mtcsc_l,
     mtcsc_uni,
     speed,
 )
@@ -247,6 +248,60 @@ def test_keys_decided_by_speculation(monkeypatch):
     _, changed = mtcsc_c(t, X, GPS)
     assert changed.sum() >= 50
     assert len(calls) <= 0.1 * len(t)
+
+
+def test_local_keys_decided_by_speculation(monkeypatch):
+    """MTCSC-L keeps the keys whose raw predecessor was kept and passes
+    with it in one pass: at most 10% of the keys reach the per-point rule."""
+    calls = []
+    repair = LocalCleaner._repair
+
+    def counted(self, *args):
+        calls.append(args[2])
+        return repair(self, *args)
+
+    monkeypatch.setattr(LocalCleaner, "_repair", counted)
+    t, X, _, _ = gps_walk(3000, seed=901)
+    _, changed = mtcsc_l(t, X, GPS)
+    assert changed.sum() >= 50
+    assert len(calls) <= 0.1 * len(t)
+
+
+def _fed(cleaner, t, X, rows):
+    """The repair of ``(t, X)`` fed to ``cleaner`` in blocks of ``rows``
+    rows (the whole series at once for ``None``), then flushed."""
+    rows = rows or len(t)
+    out = [cleaner.feed(t[lo : lo + rows], X[lo : lo + rows])[1] for lo in range(0, len(t), rows)]
+    return np.concatenate(out + [cleaner.flush()[1]])
+
+
+@pytest.mark.parametrize("rows", [37, pytest.param(None, id="whole")])
+def test_adaptive_series_at_rest(rows):
+    """A device at rest after moving: the 95% speed quantile of the newer
+    monitor window is 0, which bounds no speed, so the constraint stays."""
+    g = np.random.default_rng(0)
+    t = np.arange(700.0)
+    X = np.cumsum(g.normal(0, 0.5, (700, 2)), axis=0)
+    X[350:] = X[349]
+    s = SpeedConstraint(1.6, 10.0)
+    got, want = AdaptiveCleaner(s), ref.AdaptiveCleaner(s)
+    assert_bits_equal(_fed(got, t, X, rows), want.run(t, X))
+    assert got.n_speed_updates == want.adaptive.n_updates
+    assert got.current_speed == want.adaptive.s > 0
+
+
+@pytest.mark.parametrize("rows", [1, 5, 37, pytest.param(None, id="whole")])
+def test_stale_anchor_reset_equals_scalar_reference(rows):
+    """A drift three times as fast as the constraint leaves no window point
+    compatible with the carried repair: MTCSC-A re-anchors on the
+    observation each time the carried repair is a window old."""
+    g = np.random.default_rng(0)
+    t = np.arange(400.0)
+    X = np.column_stack([3.0 * t, np.zeros(400)]) + g.normal(0, 0.2, (400, 2))
+    s = SpeedConstraint(1.0, 3.0)
+    got, want = AdaptiveCleaner(s), ref.AdaptiveCleaner(s)
+    assert_bits_equal(_fed(got, t, X, rows), want.run(t, X))
+    assert want.n_resets >= 50
 
 
 def test_pair_checks_linear_in_n(monkeypatch):

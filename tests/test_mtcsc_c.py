@@ -23,13 +23,18 @@ from . import scalar_reference as ref
 from .test_banded_cluster import DATASETS, assert_bits_equal, build_cluster
 from .test_mtcsc_l import S, _ild, series
 
-# The modules, not the functions re-exported under their names.
-MTCSC_C = importlib.import_module("repro.core.mtcsc_c")
+ONLINE = importlib.import_module("repro.core.online")
+# The module, not the function re-exported under its name.
 MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
 #: Blocks of keys small enough that a feed ends some blocks, or the runs
 #: of keys between MTCSC-A's constraint moves, on fewer keys than the
 #: cleaner speculates on, and right after a run of speculatively kept keys.
 SMALL_BLOCKS = [9, 10, 17]
+#: The cleaners that go through the online loop in runs of ``BLOCK`` keys,
+#: with their scalar references.
+CLEANERS = [
+    (mtcsc_l, ref.mtcsc_l), (mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)
+]
 
 
 class TestBuildCluster:
@@ -185,15 +190,15 @@ class TestConsecutiveErrors:
 class TestScalarReference:
     """The lockstep MTCSC-C equals the per-point rule of
     ``tests/scalar_reference.py`` bit for bit, and so do MTCSC-A and
-    MTCSC-Uni, which share its scan."""
+    MTCSC-Uni, which share its scan, and MTCSC-L, which shares its loop."""
 
-    @given(series(), st.sampled_from([*SMALL_BLOCKS, MTCSC_C.BLOCK]))
+    @given(series(), st.sampled_from([*SMALL_BLOCKS, ONLINE.BLOCK]))
     @settings(max_examples=200, deadline=None)
     def test_hypothesis_equals_scalar_reference(self, tx, block):
         t, X = tx
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(MTCSC_C, "BLOCK", block)
-            for fn, ref_fn in [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]:
+            mp.setattr(ONLINE, "BLOCK", block)
+            for fn, ref_fn in CLEANERS:
                 for got, want in zip(fn(t, X, S), ref_fn(t, X, S)):
                     assert_bits_equal(got, want)
 
@@ -203,8 +208,8 @@ class TestScalarReference:
         """Each block starts from the previous repair the last one left,
         also when the last one ended on keys kept under the speculation."""
         t, X, s = DATASETS[data]() if data in DATASETS else _ild(0.2)
-        monkeypatch.setattr(MTCSC_C, "BLOCK", block)
-        for fn, ref_fn in [(mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]:
+        monkeypatch.setattr(ONLINE, "BLOCK", block)
+        for fn, ref_fn in CLEANERS:
             for got, want in zip(fn(t, X, s), ref_fn(t, X, s)):
                 assert_bits_equal(got, want)
 

@@ -19,12 +19,12 @@ class TestSpeedConstraint:
         s = SpeedConstraint(1.5, 10.0)
         assert s.smax == 1.5 and s.window == 10.0
 
-    @pytest.mark.parametrize("smax", [0.0, -1.0])
+    @pytest.mark.parametrize("smax", [0.0, -1.0, float("nan")])
     def test_invalid_smax(self, smax):
         with pytest.raises(ValueError):
             SpeedConstraint(smax, 1.0)
 
-    @pytest.mark.parametrize("window", [0.0, -2.0])
+    @pytest.mark.parametrize("window", [0.0, -2.0, float("nan")])
     def test_invalid_window(self, window):
         with pytest.raises(ValueError):
             SpeedConstraint(1.0, window)
