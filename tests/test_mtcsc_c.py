@@ -32,9 +32,8 @@ MTCSC_A = importlib.import_module("repro.core.mtcsc_a")
 SMALL_BLOCKS = [9, 10, 17]
 #: The cleaners that go through the online loop in runs of ``BLOCK`` keys,
 #: with their scalar references.
-CLEANERS = [
-    (mtcsc_l, ref.mtcsc_l), (mtcsc_c, ref.mtcsc_c), (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)
-]
+CLEANERS = [(mtcsc_l, ref.mtcsc_l), (mtcsc_c, ref.mtcsc_c),
+            (mtcsc_a, ref.mtcsc_a), (mtcsc_uni, ref.mtcsc_uni)]
 
 
 class TestBuildCluster:
